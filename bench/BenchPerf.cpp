@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "baseline/BaselineSolution.h"
-#include "core/BatchKernel.h"
 #include "core/DetectorConfig.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
@@ -105,53 +104,6 @@ BENCHMARK_CAPTURE(BM_FastDetector, unweighted_adaptive,
 BENCHMARK_CAPTURE(BM_FastDetector, weighted_constant,
                   ModelKind::WeightedSet, TWPolicyKind::Constant);
 BENCHMARK_CAPTURE(BM_FastDetector, weighted_adaptive,
-                  ModelKind::WeightedSet, TWPolicyKind::Adaptive);
-
-// The fast path again, with the batch-kernel dispatch backend pinned
-// (core/BatchKernel.h): the SIMD/portable pair isolates what the AVX2
-// lanes buy over the portable scalar blocks on the same SoA layout,
-// while either one over BM_Detector is the full batch-layer speedup.
-// Only the weighted cases are pinned — the weighted min-sum recompute
-// is where the lanes do their work; the dense models' anchor scans are
-// covered by the BM_FastDetector ratios. The backend slot is process
-// state, so it is restored after each benchmark's measurement loop.
-static void BM_BatchDetector(benchmark::State &State, ModelKind Model,
-                             TWPolicyKind Policy, BatchBackend Backend) {
-  const BenchmarkData &B = sharedBenchmark();
-  BatchBackend Saved = activeBatchBackend();
-  if (!setBatchBackend(Backend)) {
-    State.SkipWithError("batch backend unavailable on this host");
-    return;
-  }
-  std::unique_ptr<FastDetectorBase> D =
-      makeFastDetector(configFor(Model, Policy), B.Trace.numSites());
-  DetectorRun Run;
-  for (auto _ : State) {
-    runDetector(*D, B.Trace, Run);
-    benchmark::DoNotOptimize(Run.States.size());
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(B.Trace.size()));
-  setBatchBackend(Saved);
-}
-
-static void BM_BatchSimdDetector(benchmark::State &State, ModelKind Model,
-                                 TWPolicyKind Policy) {
-  BM_BatchDetector(State, Model, Policy, BatchBackend::AVX2);
-}
-
-static void BM_BatchPortableDetector(benchmark::State &State,
-                                     ModelKind Model, TWPolicyKind Policy) {
-  BM_BatchDetector(State, Model, Policy, BatchBackend::Portable);
-}
-
-BENCHMARK_CAPTURE(BM_BatchSimdDetector, weighted_constant,
-                  ModelKind::WeightedSet, TWPolicyKind::Constant);
-BENCHMARK_CAPTURE(BM_BatchSimdDetector, weighted_adaptive,
-                  ModelKind::WeightedSet, TWPolicyKind::Adaptive);
-BENCHMARK_CAPTURE(BM_BatchPortableDetector, weighted_constant,
-                  ModelKind::WeightedSet, TWPolicyKind::Constant);
-BENCHMARK_CAPTURE(BM_BatchPortableDetector, weighted_adaptive,
                   ModelKind::WeightedSet, TWPolicyKind::Adaptive);
 
 static void BM_DetectorSkipFactor(benchmark::State &State) {

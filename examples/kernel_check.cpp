@@ -9,7 +9,7 @@
 /// Certifies the kernel arithmetic of every configuration a sweep
 /// specification enumerates (analysis/KernelBounds.h): no unsigned
 /// wraparound in any count, product, or accumulator; minimal bit-widths
-/// per quantity (the SIMD lane plan, --lane-plan); and where the
+/// per quantity (the lane plan, --lane-plan); and where the
 /// division-free threshold decision is exact versus needing its
 /// fallback. Optional trace statistics (--trace-len,
 /// --max-multiplicity, --num-sites) tighten the intervals; without a
@@ -24,8 +24,8 @@
 /// The --lane-plan report always covers all NumFastShapes monomorphic
 /// fast-path instantiations: shapes the spec does not enumerate are
 /// synthesized from the spec's dimension maxima (flagged with 0
-/// enumerated configs), so the report is the complete admission table
-/// for the SIMD layer.
+/// enumerated configs). Its "batch" column is admitsBatchLanes(), i.e.
+/// the no-wraparound claim.
 ///
 /// Exit codes follow jp_lint: 0 clean (or notes only), 1 warnings,
 /// 2 errors.
@@ -147,7 +147,7 @@ int main(int Argc, char **Argv) {
                  "0");
   Args.addFlag("json", "emit structured JSON diagnostics and certificates");
   Args.addFlag("lane-plan",
-               "print the per-shape SIMD lane-width admission table");
+               "print the per-shape lane-width table");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 2;
 

@@ -44,7 +44,7 @@ RAW="$DIR/bench_perf_raw.json"
 # Interleaving spreads each benchmark's repetitions across the whole
 # run so its median samples different thermal states.
 "$DIR/bench/bench_perf" \
-  --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/' \
+  --benchmark_filter='BM_Detector/|BM_FastDetector/' \
   --benchmark_min_time=2 \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only \
   --benchmark_enable_random_interleaving=true \
@@ -100,7 +100,7 @@ sweep_shared = None if sys.argv[4] == "null" else float(sys.argv[4])
 
 rates = {}
 for b in raw["benchmarks"]:
-    if "items_per_second" not in b:  # skipped (e.g. SIMD without AVX2)
+    if "items_per_second" not in b:  # skipped
         continue
     if b.get("aggregate_name", "median") != "median":
         continue  # keep the median of the 3 repetitions
@@ -116,28 +116,12 @@ for case, r in sorted(rates.items()):
         "fast_mps": fast,
         "ratio": round(fast / ref, 2),
     }
-    # Pinned batch-backend cases (check_perf.py resolves the extra
-    # fields back to the benchmark names): SIMD vs portable dispatch
-    # over the same reference run.
-    for prefix, bench in (("batch_simd", "BM_BatchSimdDetector"),
-                          ("batch_portable", "BM_BatchPortableDetector")):
-        if bench not in r:
-            continue
-        cases[f"{prefix}_{case}"] = {
-            "fast_bench": bench,
-            "bench_case": case,
-            "reference_mps": ref,
-            "fast_mps": r[bench],
-            "ratio": round(r[bench] / ref, 2),
-        }
 
 out = {
     "description": "Detector per-element throughput (M elements/s) on "
                    "jess scale 0.25 MPL 10K, CW=TW=5000, threshold 0.6, "
                    "skip 1; every entry (throughput and sweep seconds) "
-                   "is a median of 3 runs; batch_* cases pin the "
-                   "BatchKernel dispatch backend (see "
-                   "scripts/check_perf.py); see docs/PERFORMANCE.md",
+                   "is a median of 3 runs; see docs/PERFORMANCE.md",
     "cases": cases,
     "pruned_paper_sweep_seconds": sweep,
     "sweep_shared_seconds": sweep_shared,

@@ -11,16 +11,9 @@ M/s on a throttling host can swing far more than any real regression.
 A case fails when its ratio drops more than the tolerance (default 25%)
 below the committed baseline.
 
-By default a case named <c> compares BM_FastDetector/<c> against
-BM_Detector/<c>. A case may override any part of that pairing with
-optional fields: "fast_bench" / "ref_bench" select the benchmark
-function names, "bench_case" the shared capture suffix. The batch-kernel
-cases use this to pin the SIMD and portable dispatch backends against
-the same reference run (e.g. "batch_simd_weighted_adaptive" compares
-BM_BatchSimdDetector/weighted_adaptive to BM_Detector/weighted_adaptive).
+A case named <c> compares BM_FastDetector/<c> against BM_Detector/<c>.
 Every baseline case is required: a case whose benchmarks are missing
-from the smoke run (including a skipped SIMD benchmark on a host
-without AVX2) fails the check.
+from the smoke run fails the check.
 
 When a serving smoke file (opd_loadgen --json output) is given and the
 baseline carries a "serving" entry, serving_vs_offline_ratio — served
@@ -146,17 +139,12 @@ def main():
             rates.setdefault(case, {})[path] = bench["items_per_second"]
 
         for case, expected in sorted(baseline.items()):
-            fast_bench = expected.get("fast_bench", "BM_FastDetector")
-            ref_bench = expected.get("ref_bench", "BM_Detector")
-            bench_case = expected.get("bench_case", case)
-            pair = rates.get(bench_case, {})
-            if fast_bench not in pair or ref_bench not in pair:
-                print(f"perf: {case}: MISSING from smoke run "
-                      f"(needs {fast_bench}/{bench_case} and "
-                      f"{ref_bench}/{bench_case})")
+            pair = rates.get(case, {})
+            if "BM_FastDetector" not in pair or "BM_Detector" not in pair:
+                print(f"perf: {case}: MISSING from smoke run")
                 failed = True
                 continue
-            ratio = pair[fast_bench] / pair[ref_bench]
+            ratio = pair["BM_FastDetector"] / pair["BM_Detector"]
             floor = expected["ratio"] * (1.0 - tolerance)
             verdict = "ok" if ratio >= floor else "REGRESSION"
             print(f"perf: {case}: fast/ref {ratio:.2f}x "

@@ -9,29 +9,20 @@
 #   plain:        configure + build (warnings-as-errors) + full ctest
 #   kernel-check: the shipped sweep specs certify wraparound-free at the
 #                 evaluation's 62M-element trace scale, with the full
-#                 18-shape SIMD lane plan (and its per-shape batch-kernel
-#                 admission verdicts) printed into the CI log
+#                 18-shape lane plan printed into the CI log
 #   serve-check:  wire-protocol model checker vs the real ServeSession vs
 #                 docs/SERVING.md, plus a fixed-seed model-guided fuzz run
 #   tidy:         clang-tidy over src/ when it is on PATH (skips otherwise)
 #   clang:        a clang++ configuration so -Wthread-safety verifies the
 #                 locking annotations (skips when clang++ is absent)
-#   simd-matrix:  the SIMD/portable batch-kernel matrix — the kernel
-#                 differential, batch-kernel, KernelBounds, and
-#                 shared-scan suites run (a) on the AVX2-enabled plain
-#                 build with OPD_SIMD=off forcing the portable dispatch
-#                 fallback, and (b) on a separate -DOPD_DISABLE_SIMD=ON
-#                 build with the AVX2 code compiled out entirely; the
-#                 default-dispatch leg is the plain stage's full ctest
 #   asan-ubsan:   full ctest under Address + UndefinedBehaviorSanitizer
 #   ubsan-int:    the kernel/detector/batch arithmetic suites under
 #                 clang's -fsanitize=undefined,integer (gcc fallback:
 #                 undefined only) — the gain/loss kernel deltas and the
-#                 batch min-sum/anchor kernels must hold their
-#                 no-wraparound certificates at runtime, not just in the
-#                 KernelBounds abstract interpretation; the same suites
-#                 repeat with OPD_SIMD=off so the portable blocks are
-#                 sanitized too
+#                 batch min-sum must hold their no-wraparound
+#                 certificates at runtime, not just in the KernelBounds
+#                 abstract interpretation; the min-sum's scalar loop is
+#                 sanitized through BatchKernelTest's >= 2^32 totals
 #   serve-smoke:  a real opd_serve daemon under ASan/UBSan takes a few
 #                 hundred opd_loadgen --verify sessions, then drains
 #                 cleanly on SIGTERM
@@ -39,12 +30,12 @@
 #                 with OPD_THREADS=4 so single-core runners still run
 #                 real threads
 #   sweep-shared: the shared-scan engine's bit-identity differential
-#                 (tests/SharedScanTest.cpp) on the default and portable
-#                 dispatches, then a Release pruned paper sweep under
+#                 (tests/SharedScanTest.cpp), then a Release pruned
+#                 paper sweep under
 #                 both engines timed against the BENCH_PERF.json sweep
 #                 entries (scripts/check_perf.py --sweep-*)
-#   perf:         Release perf smoke vs BENCH_PERF.json — the fast and
-#                 batch-backend detector ratios within 25%, the serving
+#   perf:         Release perf smoke vs BENCH_PERF.json — the fast
+#                 detector ratios within 25%, the serving
 #                 ratio within 50%, and the committed per-config/shared
 #                 sweep ratio at or above 1.8x (scripts/check_perf.py)
 #
@@ -58,7 +49,7 @@
 #
 #   scripts/ci.sh                      # every stage, in order
 #   scripts/ci.sh --stage tsan         # just the tsan stage
-#   scripts/ci.sh --stage plain --stage simd-matrix my-prefix
+#   scripts/ci.sh --stage plain --stage tsan my-prefix
 #
 #===----------------------------------------------------------------------===#
 
@@ -68,9 +59,8 @@ cd "$(dirname "$0")/.."
 # shellcheck source=scripts/serve_common.sh
 . scripts/serve_common.sh
 
-ALL_STAGES=(plain kernel-check serve-check tidy clang simd-matrix
-  asan-ubsan ubsan-int serve-smoke tsan sweep-shared perf)
-SIMD_TESTS='BatchKernel|FastDetector|KernelBounds|SharedScan'
+ALL_STAGES=(plain kernel-check serve-check tidy clang asan-ubsan
+  ubsan-int serve-smoke tsan sweep-shared perf)
 
 SELECTED=()
 PREFIX=""
@@ -162,19 +152,6 @@ stage_clang() {
   run_ctest clang
 }
 
-stage_simd_matrix() {
-  # Leg (a): AVX2 compiled in, dispatch forced onto the portable scalar
-  # blocks. The differential suites must be bit-identical here exactly as
-  # under the default dispatch (the plain stage's full ctest).
-  configure_build plain
-  echo "=== [simd-matrix] portable dispatch (OPD_SIMD=off) ==="
-  OPD_SIMD=off ctest --test-dir "${PREFIX}-plain" --output-on-failure \
-    -j "$JOBS" -R "$SIMD_TESTS"
-  # Leg (b): AVX2 compiled out — the build the portable-only targets get.
-  configure_build nosimd -DOPD_DISABLE_SIMD=ON
-  run_ctest nosimd -R "$SIMD_TESTS"
-}
-
 stage_asan_ubsan() {
   configure_build asan-ubsan -DOPD_SANITIZE="address;undefined"
   run_ctest asan-ubsan
@@ -195,9 +172,6 @@ stage_ubsan_int() {
     configure_build ubsan-int -DOPD_SANITIZE=undefined
   fi
   run_ctest ubsan-int -R "$tests"
-  echo "=== [ubsan-int] portable dispatch (OPD_SIMD=off) ==="
-  OPD_SIMD=off ctest --test-dir "${PREFIX}-ubsan-int" --output-on-failure \
-    -j "$JOBS" -R 'BatchKernel|FastDetector'
 }
 
 stage_serve_smoke() {
@@ -222,18 +196,15 @@ stage_tsan() {
 
 stage_sweep_shared() {
   # The shared-scan engine ships on a bit-identity contract
-  # (core/SharedScan.h): the differential suite must hold under both the
-  # default and the forced-portable dispatch, and the engine's wall-clock
-  # win over the per-config path must not regress. The Release tree is
-  # shared with the perf stage.
+  # (core/SharedScan.h): the differential suite must hold, and the
+  # engine's wall-clock win over the per-config path must not regress.
+  # The Release tree is shared with the perf stage.
   local dir="${PREFIX}-perf"
   echo "=== [sweep-shared] configure + build (Release) ==="
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$dir" -j "$JOBS" --target shared_scan_test sweep_tool
-  echo "=== [sweep-shared] differential (default dispatch) ==="
+  echo "=== [sweep-shared] differential ==="
   "$dir/tests/shared_scan_test"
-  echo "=== [sweep-shared] differential (OPD_SIMD=off) ==="
-  OPD_SIMD=off "$dir/tests/shared_scan_test"
   echo "=== [sweep-shared] pruned paper sweep, both engines ==="
   # Best of 2 per engine: the timings are checked against a ceiling, and
   # the minimum is robust to a run landing in a host throttle window
@@ -264,7 +235,7 @@ stage_perf() {
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$dir" -j "$JOBS" --target bench_perf opd_serve opd_loadgen
   "$dir/bench/bench_perf" \
-    --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/' \
+    --benchmark_filter='BM_Detector/|BM_FastDetector/' \
     --benchmark_min_time=0.5 \
     --benchmark_format=json > "$dir/bench_smoke.json"
   start_opd_serve "$dir/examples/opd_serve" "$dir/serve_smoke.log"

@@ -7,8 +7,6 @@
 
 #include "analysis/KernelBounds.h"
 
-#include "core/BatchKernel.h"
-
 #include <algorithm>
 #include <limits>
 
@@ -358,22 +356,11 @@ void opd::lintCertificate(const KernelCertificate &Cert,
 }
 
 bool opd::admitsBatchLanes(const KernelCertificate &Cert) {
-  BatchLanePlan Plan = batchLanePlan(Cert.Config.Model);
-  // No batch kernel compiled for the model at all: nothing to admit.
-  if (Plan.CountLaneBits == 0)
-    return false;
-  // The batch kernels assume the certified wraparound-free dataflow (the
-  // AVX2 min-sum derives its exactness from MinSum <= NCW*NTW, and the
-  // per-site counts must fit their uint32_t lanes).
-  if (!Cert.NoWraparound)
-    return false;
-  if (Cert.CountLaneBits == 0 || Cert.CountLaneBits > Plan.CountLaneBits)
-    return false;
-  if (Plan.ProductLaneBits != 0 &&
-      (Cert.ProductLaneBits == 0 ||
-       Cert.ProductLaneBits > Plan.ProductLaneBits))
-    return false;
-  return true;
+  // NoWraparound bounds every count by UINT32_MAX and every wide
+  // quantity by UINT64_MAX, so summarize() has already derived nonzero
+  // lanes of at most 32 and 64 bits: the 32-bit count / 64-bit product
+  // lanes every model's kernel computes in.
+  return Cert.NoWraparound;
 }
 
 std::string opd::renderCertificateJSON(const KernelCertificate &Cert) {

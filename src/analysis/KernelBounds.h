@@ -15,9 +15,8 @@
 ///
 ///  (a) whether any unsigned count, product, or accumulator can wrap
 ///      its storage width (uint32_t counts, uint64_t everything else);
-///  (b) the minimal bit-width per quantity — rounded up to a machine
-///      lane width, this is the SIMD lane plan for the future
-///      structure-of-arrays batch kernels (the ROADMAP's top open item);
+///  (b) the minimal bit-width per quantity, rounded up to a machine
+///      lane width (8/16/32/64 bits);
 ///  (c) whether the division-free threshold decision
 ///      (FastWeightedSetKernel::similarityAtLeast) is exact outright —
 ///      every integer fed to it below 2^53, so the double conversions
@@ -49,7 +48,8 @@
 ///  * MinSum = sum_s min(cw[s]*|TW|, tw[s]*|CW|) <= sum_s cw[s]*|TW|
 ///    = |CW|*|TW| <= NCWMax*NTWMax.
 ///
-/// Certificates gate the SIMD layer and are validated three ways (see
+/// Certificates back the kernel_check and config_check overflow
+/// diagnostics and are validated three ways (see
 /// docs/ANALYSIS.md): the CheckedKernelArith shadow instrumentation in
 /// core asserts observed runtime values stay within these intervals
 /// across the full differential suite, adversarial boundary configs
@@ -146,11 +146,11 @@ struct KernelCertificate {
   /// unsigned wraparound anywhere in the kernel dataflow (certificate
   /// component (a)).
   bool NoWraparound = false;
-  /// SIMD lane width (8/16/32/64 bits) covering every applicable
+  /// Lane width (8/16/32/64 bits) covering every applicable
   /// per-site count quantity, or 0 when none is certifiable
   /// (certificate component (b)).
   unsigned CountLaneBits = 0;
-  /// SIMD lane width (8/16/32/64 bits) covering every applicable
+  /// Lane width (8/16/32/64 bits) covering every applicable
   /// uint64_t quantity (totals, distincts, products, accumulator), or
   /// 0 when one of them cannot be certified to fit 64 bits.
   unsigned ProductLaneBits = 0;
@@ -173,18 +173,15 @@ KernelCertificate certifyKernel(const DetectorConfig &Config,
 /// Widens \p Into to also cover \p C (same shape required): per-quantity
 /// interval join, conjunction of the wraparound claims, widest lanes,
 /// weakest exactness. After folding every config of a sweep into one
-/// certificate per shape, the 18 results are the lane-width plan the
-/// SIMD layer must respect.
+/// certificate per shape, the 18 results are the sweep's lane widths.
 void mergeCertificate(KernelCertificate &Into, const KernelCertificate &C);
 
-/// The admission check of the batch-kernel handshake (core/BatchKernel.h):
-/// true iff \p Cert proves the configuration safe on the batch kernels'
-/// compiled lane plan for its model — the certificate must rule out
-/// wraparound everywhere, certify every per-site count into the plan's
-/// count lanes, and (when the plan forms products) certify every
-/// product/accumulator into the plan's product lanes. A refusing config
-/// must run with FastDetectorBase::setBatchKernels(false); the sweep
-/// harness applies the verdict to every detector it acquires.
+/// True iff \p Cert fits the kernels' 32-bit count and 64-bit
+/// product/accumulator lanes, which is exactly Cert.NoWraparound: ruling
+/// out wraparound bounds every count by UINT32_MAX and every wide
+/// quantity by UINT64_MAX. kernel_check reports it as the lane-plan
+/// verdict ("batch_admitted"). No kernel consults it: the batch min-sum
+/// (core/BatchKernel.h) is exact for every input.
 bool admitsBatchLanes(const KernelCertificate &Cert);
 
 /// Reports \p Cert's findings into \p Diags using the stable diagnostic

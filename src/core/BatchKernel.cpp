@@ -1,51 +1,52 @@
-//===- core/BatchKernel.cpp - SoA batch kernel primitives --------------------===//
+//===- core/BatchKernel.cpp - SoA batch kernel primitive ---------------------===//
 //
 // Part of the OPD project: a reproduction of "Online Phase Detection
 // Algorithms" (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
 //
-// The AVX2 implementations are compiled per-function with
-// __attribute__((target("avx2"))) behind a runtime __builtin_cpu_supports
-// dispatch, so one binary carries both paths and non-AVX2 hosts never
-// execute a VEX instruction. -DOPD_DISABLE_SIMD=ON (or a non-x86 target,
-// or an unknown compiler) compiles the AVX2 bodies out entirely and the
-// dispatcher collapses to the portable loops.
+// The AVX2 body is compiled per-function with
+// __attribute__((target("avx2"))) and chosen once per process from
+// __builtin_cpu_supports, so one binary carries both paths and non-AVX2
+// hosts never execute a VEX instruction. Other targets and compilers
+// compile only the scalar loop.
 //
-// Exactness of the AVX2 min-sum sweep (the only primitive that computes
-// rather than searches): the dispatcher admits it only when NCW < 2^32
-// and NTW < 2^32. Each roster count is a uint32_t, so every product
-// cw_i*NTW and tw_i*NCW is an exact 32x32->64 widening multiply
+// Exactness of the AVX2 sweep: batchMinSum takes it only when
+// NCW < 2^32 and NTW < 2^32. Each roster count is a uint32_t, so every
+// product cw_i*NTW and tw_i*NCW is an exact 32x32->64 widening multiply
 // (_mm256_mul_epu32 of an interleaved-pair lane by a <2^32 total), and
 // the whole sum is bounded by sum_i cw_i*NTW = NCW*NTW < 2^64 — every
 // per-lane partial sum is a subset of those non-negative terms, so no
 // addition wraps and lane order cannot matter. Totals at or above 2^32
-// (impossible for certificate-admitted configs, but the primitive must
-// not silently diverge) take the portable loop, which wraps mod 2^64 in
-// exactly the reference kernel's order-invariant way.
+// take the scalar loop, which wraps mod 2^64 in exactly the reference
+// kernel's order-invariant way.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/BatchKernel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 
-#if defined(__x86_64__) && !defined(OPD_DISABLE_SIMD) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define OPD_BATCH_X86 1
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define OPD_BATCH_AVX2 1
 #include <immintrin.h>
 #else
-#define OPD_BATCH_X86 0
+#define OPD_BATCH_AVX2 0
 #endif
 
 using namespace opd;
 
 namespace {
 
-#if OPD_BATCH_X86
+uint64_t minSumScalar(const uint32_t *Pairs, size_t N, uint64_t NCW,
+                      uint64_t NTW) {
+  uint64_t Sum = 0;
+  for (size_t I = 0; I != N; ++I)
+    Sum += std::min(Pairs[2 * I] * NTW, Pairs[2 * I + 1] * NCW);
+  return Sum;
+}
+
+#if OPD_BATCH_AVX2
 
 __attribute__((target("avx2"))) uint64_t
 minSumAVX2(const uint32_t *Pairs, size_t N, uint64_t NCW, uint64_t NTW) {
@@ -53,7 +54,7 @@ minSumAVX2(const uint32_t *Pairs, size_t N, uint64_t NCW, uint64_t NTW) {
   // counts sit in the even 32-bit lanes — the operand form
   // _mm256_mul_epu32 consumes directly — and a 32-bit lane shift brings
   // the tw counts down for the mirror product. Both totals are < 2^32
-  // (dispatcher guard), so the lane products are exact.
+  // (batchMinSum guard), so the lane products are exact.
   const __m256i VNTW = _mm256_set1_epi64x(static_cast<long long>(NTW));
   const __m256i VNCW = _mm256_set1_epi64x(static_cast<long long>(NCW));
   __m256i Acc0 = _mm256_setzero_si256();
@@ -62,8 +63,8 @@ minSumAVX2(const uint32_t *Pairs, size_t N, uint64_t NCW, uint64_t NTW) {
   if ((NCW * NTW) >> 63 == 0) {
     // Every product is at most NCW*NTW < 2^63, so the signed 64-bit lane
     // compare already orders them correctly — no sign-flip needed. This
-    // covers every certificate-admitted configuration; two accumulators
-    // split the loop-carried add dependency.
+    // is the common case (any window with NCW*NTW < 2^63); two
+    // accumulators split the loop-carried add dependency.
     for (; I + 8 <= N; I += 8) {
       __m256i V0 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i *>(Pairs + 2 * I));
@@ -96,175 +97,28 @@ minSumAVX2(const uint32_t *Pairs, size_t N, uint64_t NCW, uint64_t NTW) {
   __m256i Acc = _mm256_add_epi64(Acc0, Acc1);
   __m128i Fold = _mm_add_epi64(_mm256_castsi256_si128(Acc),
                                _mm256_extracti128_si256(Acc, 1));
-  uint64_t Sum = static_cast<uint64_t>(_mm_cvtsi128_si64(Fold)) +
-                 static_cast<uint64_t>(_mm_extract_epi64(Fold, 1));
-  for (; I != N; ++I)
-    Sum += std::min(Pairs[2 * I] * NTW, Pairs[2 * I + 1] * NCW);
-  return Sum;
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(Fold)) +
+         static_cast<uint64_t>(_mm_extract_epi64(Fold, 1)) +
+         minSumScalar(Pairs + 2 * I, N - I, NCW, NTW);
 }
 
-__attribute__((target("avx2"))) uint64_t
-rightmostNoisyAVX2(const uint32_t *Counts, const SiteIndex *Elements,
-                   uint64_t N) {
-  const __m256i Zero = _mm256_setzero_si256();
-  uint64_t I = N;
-  // Scalar over the partial block at the top, then whole blocks of 8
-  // descending (the scan wants the highest zero-count element).
-  uint64_t Aligned = N & ~static_cast<uint64_t>(7);
-  while (I > Aligned) {
-    if (Counts[Elements[I - 1]] == 0)
-      return I;
-    --I;
-  }
-  while (I != 0) {
-    I -= 8;
-    __m256i Idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(Elements + I));
-    __m256i C = _mm256_i32gather_epi32(
-        reinterpret_cast<const int *>(Counts), Idx, 4);
-    unsigned Mask = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(C, Zero))));
-    if (Mask != 0)
-      return I + (32 - static_cast<unsigned>(__builtin_clz(Mask)));
-  }
-  return 0;
+bool cpuHasAVX2() {
+  static const bool Has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return Has;
 }
 
-__attribute__((target("avx2"))) uint64_t
-leftmostNonNoisyAVX2(const uint32_t *Counts, const SiteIndex *Elements,
-                     uint64_t N) {
-  const __m256i Zero = _mm256_setzero_si256();
-  uint64_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i Idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(Elements + I));
-    __m256i C = _mm256_i32gather_epi32(
-        reinterpret_cast<const int *>(Counts), Idx, 4);
-    unsigned NonZero = 0xFFu ^ static_cast<unsigned>(_mm256_movemask_ps(
-                                  _mm256_castsi256_ps(
-                                      _mm256_cmpeq_epi32(C, Zero))));
-    if (NonZero != 0)
-      return I + static_cast<unsigned>(__builtin_ctz(NonZero));
-  }
-  for (; I != N; ++I)
-    if (Counts[Elements[I]] != 0)
-      return I;
-  return N;
-}
-
-bool cpuHasAVX2() { return __builtin_cpu_supports("avx2"); }
-
-#else
-
-bool cpuHasAVX2() { return false; }
-
-#endif // OPD_BATCH_X86
-
-BatchBackend detectBackend() {
-  BatchBackend Detected =
-      cpuHasAVX2() ? BatchBackend::AVX2 : BatchBackend::Portable;
-  return batchBackendFromEnv(std::getenv("OPD_SIMD"), Detected);
-}
-
-std::atomic<BatchBackend> &backendSlot() {
-  static std::atomic<BatchBackend> Slot{detectBackend()};
-  return Slot;
-}
+#endif // OPD_BATCH_AVX2
 
 } // namespace
 
-const char *opd::batchBackendName(BatchBackend B) {
-  return B == BatchBackend::AVX2 ? "avx2" : "portable";
-}
-
-bool opd::simdCompiledIn() { return OPD_BATCH_X86 != 0; }
-
-bool opd::simdAvailable() { return cpuHasAVX2(); }
-
-BatchBackend opd::batchBackendFromEnv(const char *Value,
-                                      BatchBackend Detected) {
-  if (Value == nullptr || *Value == '\0')
-    return Detected;
-  if (std::strcmp(Value, "off") == 0 || std::strcmp(Value, "portable") == 0 ||
-      std::strcmp(Value, "0") == 0 || std::strcmp(Value, "scalar") == 0)
-    return BatchBackend::Portable;
-  return Detected;
-}
-
-BatchBackend opd::activeBatchBackend() {
-  return backendSlot().load(std::memory_order_relaxed);
-}
-
-bool opd::setBatchBackend(BatchBackend B) {
-  if (B == BatchBackend::AVX2 && !simdAvailable()) {
-    backendSlot().store(BatchBackend::Portable, std::memory_order_relaxed);
-    return false;
-  }
-  backendSlot().store(B, std::memory_order_relaxed);
-  return true;
-}
-
-BatchLanePlan opd::batchLanePlan(ModelKind Model) {
-  switch (Model) {
-  case ModelKind::WeightedSet:
-    return {/*CountLaneBits=*/32, /*ProductLaneBits=*/64};
-  case ModelKind::UnweightedSet:
-  case ModelKind::ManhattanBBV:
-    return {/*CountLaneBits=*/32, /*ProductLaneBits=*/0};
-  }
-  return {};
-}
-
-uint64_t opd::batchMinSumPortable(const uint32_t *Pairs, size_t N,
-                                  uint64_t NCW, uint64_t NTW) {
-  uint64_t Sum = 0;
-  for (size_t I = 0; I != N; ++I)
-    Sum += std::min(Pairs[2 * I] * NTW, Pairs[2 * I + 1] * NCW);
-  return Sum;
-}
-
 uint64_t opd::batchMinSum(const uint32_t *Pairs, size_t N, uint64_t NCW,
                           uint64_t NTW) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2 && (NCW >> 32) == 0 &&
-      (NTW >> 32) == 0)
+#if OPD_BATCH_AVX2
+  if ((NCW >> 32) == 0 && (NTW >> 32) == 0 && cpuHasAVX2())
     return minSumAVX2(Pairs, N, NCW, NTW);
 #endif
-  return batchMinSumPortable(Pairs, N, NCW, NTW);
-}
-
-uint64_t opd::batchRightmostNoisyPortable(const uint32_t *Counts,
-                                          const SiteIndex *Elements,
-                                          uint64_t N) {
-  for (uint64_t I = N; I != 0; --I)
-    if (Counts[Elements[I - 1]] == 0)
-      return I;
-  return 0;
-}
-
-uint64_t opd::batchRightmostNoisy(const uint32_t *Counts,
-                                  const SiteIndex *Elements, uint64_t N) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2)
-    return rightmostNoisyAVX2(Counts, Elements, N);
-#endif
-  return batchRightmostNoisyPortable(Counts, Elements, N);
-}
-
-uint64_t opd::batchLeftmostNonNoisyPortable(const uint32_t *Counts,
-                                            const SiteIndex *Elements,
-                                            uint64_t N) {
-  for (uint64_t I = 0; I != N; ++I)
-    if (Counts[Elements[I]] != 0)
-      return I;
-  return N;
-}
-
-uint64_t opd::batchLeftmostNonNoisy(const uint32_t *Counts,
-                                    const SiteIndex *Elements, uint64_t N) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2)
-    return leftmostNonNoisyAVX2(Counts, Elements, N);
-#endif
-  return batchLeftmostNonNoisyPortable(Counts, Elements, N);
+  return minSumScalar(Pairs, N, NCW, NTW);
 }

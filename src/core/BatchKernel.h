@@ -1,4 +1,4 @@
-//===- core/BatchKernel.h - SoA batch kernel primitives ---------*- C++ -*-===//
+//===- core/BatchKernel.h - SoA batch kernel primitive ----------*- C++ -*-===//
 //
 // Part of the OPD project: a reproduction of "Online Phase Detection
 // Algorithms" (CGO 2006).
@@ -6,106 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Structure-of-arrays batch primitives for the fast-path window kernels
-/// (core/FastDetector.cpp): the weighted min-sum recompute as a
-/// contiguous sweep over packed per-site count lanes, and the anchor
-/// membership scans as blocked gathers over the trailing-window element
-/// buffer. Each primitive has an AVX2 implementation selected by runtime
-/// dispatch and a portable scalar-block fallback that compiles
-/// everywhere; both produce bit-identical results, so the PR 4
-/// differential suite gates either path interchangeably.
+/// The weighted kernel's min-sum recompute (core/FastKernels.h) as a
+/// contiguous sweep over packed per-site count lanes. The primitive has
+/// an AVX2 body, chosen once per process when the CPU supports it, and a
+/// scalar loop that compiles everywhere.
 ///
-/// Bit-identity argument, per primitive:
-///
-///  * batchMinSum computes sum_i min(cw_i*NTW, tw_i*NCW) — an integer
-///    sum of non-negative terms, so evaluation order cannot perturb the
-///    result. The AVX2 path runs only when both window totals fit 32
-///    bits: then every product fits 64 bits exactly (32x32->64 widening
-///    multiplies) and the full sum is bounded by NCW*NTW < 2^64, so the
-///    per-lane partial sums (each a subset of the terms) cannot wrap.
-///    Totals of 2^32 or more fall back to the portable loop, which
-///    wraps mod 2^64 exactly as the reference kernel's scalar arithmetic
-///    does.
-///  * The anchor scans are pure reads (find the first/last
-///    zero-count element); any traversal produces the same index.
-///
-/// Lane admission: the batch kernels are compiled against a fixed lane
-/// plan per model (batchLanePlan()). A configuration is only run on them
-/// when its KernelBounds certificate admits that plan —
-/// admitsBatchLanes() in analysis/KernelBounds.h performs the check, and
-/// the sweep harness wires the verdict into every detector it runs via
-/// FastDetectorBase::setBatchKernels(). Refused configs take the
-/// pre-batch scalar paths (still bit-identical; the refusal is the
-/// certificate gate, not a behavioral fork).
+/// Bit-identity: batchMinSum computes sum_i min(cw_i*NTW, tw_i*NCW), an
+/// integer sum of non-negative terms, so evaluation order cannot perturb
+/// the result. The AVX2 body runs only when both window totals fit 32
+/// bits: then every product fits 64 bits exactly (32x32->64 widening
+/// multiplies) and the full sum is bounded by NCW*NTW < 2^64, so the
+/// per-lane partial sums (each a subset of the terms) cannot wrap.
+/// Totals of 2^32 or more take the scalar loop, which wraps mod 2^64
+/// exactly as the reference kernel's scalar arithmetic does. Every input
+/// therefore gets the same bits on every host.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPD_CORE_BATCHKERNEL_H
 #define OPD_CORE_BATCHKERNEL_H
 
-#include "core/SimilarityKernel.h"
-
+#include <cstddef>
 #include <cstdint>
 
 namespace opd {
-
-/// The batch-kernel implementation selected at runtime.
-enum class BatchBackend : uint8_t {
-  Portable, ///< Scalar block loops; compiles and runs everywhere.
-  AVX2,     ///< 256-bit SIMD sweeps/gathers (x86-64 with AVX2 only).
-};
-
-/// Stable mnemonic for \p B ("portable" / "avx2").
-const char *batchBackendName(BatchBackend B);
-
-/// True when the AVX2 code paths were compiled into this binary (x86-64,
-/// not disabled via -DOPD_DISABLE_SIMD=ON). Says nothing about the CPU.
-bool simdCompiledIn();
-
-/// True when the AVX2 backend can actually run: compiled in and the CPU
-/// reports AVX2 support.
-bool simdAvailable();
-
-/// Resolves the OPD_SIMD environment override against the
-/// hardware-detected backend \p Detected: "off"/"portable"/"0" force
-/// Portable; anything else (including unset/empty/"on"/"avx2") keeps
-/// \p Detected — the override can drop to the fallback but cannot enable
-/// lanes the host lacks. Pure function, exposed for tests.
-BatchBackend batchBackendFromEnv(const char *Value, BatchBackend Detected);
-
-/// The backend the batch primitives dispatch to: AVX2 when available,
-/// unless overridden by OPD_SIMD in the environment (read once) or by
-/// setBatchBackend().
-BatchBackend activeBatchBackend();
-
-/// Overrides the active backend (benchmarks pin each matrix leg; tests
-/// force the fallback). Best-effort: requesting AVX2 on a host without
-/// it leaves the backend Portable and returns false.
-bool setBatchBackend(BatchBackend B);
-
-/// The lane plan a model's batch kernels are compiled with — the core
-/// side of the certificate admission handshake. A config may only run on
-/// the batch kernels when its KernelBounds certificate proves every
-/// per-site count fits CountLaneBits and (when ProductLaneBits is
-/// nonzero) every product/accumulator fits ProductLaneBits; see
-/// admitsBatchLanes() in analysis/KernelBounds.h.
-struct BatchLanePlan {
-  /// Lane width holding the packed per-site counts (0 = the model has no
-  /// batch kernel at all).
-  unsigned CountLaneBits = 0;
-  /// Lane width holding cross-products and the min-sum accumulator
-  /// (0 = the model's batch kernels form no products).
-  unsigned ProductLaneBits = 0;
-};
-
-/// The compiled lane plan for \p Model: weighted-set sweeps 32-bit count
-/// lanes into 64-bit product/accumulator lanes; the unweighted-set and
-/// Manhattan batch layers gather 32-bit count lanes only (membership
-/// scans — their similarity arithmetic stays scalar: the unweighted
-/// distinct counters are O(1) per element, and the Manhattan
-/// floating-point sum is order-sensitive, so reordering it into lanes
-/// would break bit-identity).
-BatchLanePlan batchLanePlan(ModelKind Model);
 
 /// sum over i < N of min(Pairs[2i]*NTW, Pairs[2i+1]*NCW), mod 2^64 —
 /// the weighted kernel's MinSum recompute over a packed roster whose
@@ -114,39 +38,11 @@ BatchLanePlan batchLanePlan(ModelKind Model);
 /// 256-bit load delivers four whole pairs with the cw counts already in
 /// the even 32-bit lanes and the tw counts in the odd lanes, which is
 /// exactly the operand form the 32x32->64 lane multiply consumes — no
-/// widening shuffles per block. Dispatches to the active backend; the
-/// AVX2 sweep runs only when both totals fit 32 bits (exactness guard,
-/// see file comment), so the result is bit-identical to the portable
-/// loop for every input.
+/// widening shuffles per block. The AVX2 sweep runs only when the CPU
+/// has AVX2 and both totals fit 32 bits (exactness guard, see file
+/// comment), so the result equals the scalar loop's for every input.
 uint64_t batchMinSum(const uint32_t *Pairs, size_t N, uint64_t NCW,
                      uint64_t NTW);
-
-/// batchMinSum pinned to the portable scalar-block loop (differential
-/// tests compare the dispatched result against this).
-uint64_t batchMinSumPortable(const uint32_t *Pairs, size_t N, uint64_t NCW,
-                             uint64_t NTW);
-
-/// RightmostNoisy anchor scan: 1 + the largest I < N with
-/// Counts[Elements[I]] == 0, or 0 when every element's count is nonzero
-/// (the exact value FastWindowedModel::anchorPosition's descending loop
-/// returns). Dispatches to the active backend.
-uint64_t batchRightmostNoisy(const uint32_t *Counts,
-                             const SiteIndex *Elements, uint64_t N);
-
-/// LeftmostNonNoisy anchor scan: the smallest I < N with
-/// Counts[Elements[I]] != 0, or N when every element's count is zero.
-/// Dispatches to the active backend.
-uint64_t batchLeftmostNonNoisy(const uint32_t *Counts,
-                               const SiteIndex *Elements, uint64_t N);
-
-/// batchRightmostNoisy pinned to the portable loop (test oracle).
-uint64_t batchRightmostNoisyPortable(const uint32_t *Counts,
-                                     const SiteIndex *Elements, uint64_t N);
-
-/// batchLeftmostNonNoisy pinned to the portable loop (test oracle).
-uint64_t batchLeftmostNonNoisyPortable(const uint32_t *Counts,
-                                       const SiteIndex *Elements,
-                                       uint64_t N);
 
 } // namespace opd
 

@@ -103,14 +103,6 @@ public:
     return static_cast<SiteIndex>(CWCounts.size());
   }
 
-  /// Kernels with dense per-site CW counts support the blocked anchor
-  /// membership scans (core/BatchKernel.h) directly over this array.
-  static constexpr bool HasDenseCW = true;
-  const uint32_t *cwCountsData() const { return CWCounts.data(); }
-
-  void setBatchEnabled(bool Enabled) { BatchEnabled = Enabled; }
-  bool batchEnabled() const { return BatchEnabled; }
-
 protected:
   /// Same contract as SimilarityKernel::touch().
   OPD_FORCE_INLINE void touch(SiteIndex S) {
@@ -137,7 +129,6 @@ protected:
   uint64_t NTW = 0;
   std::vector<uint8_t> SiteTouched;
   std::vector<SiteIndex> TouchedSites;
-  bool BatchEnabled = true;
 };
 
 /// Non-virtual mirror of UnweightedSetKernel. The arithmetic policy is
@@ -242,9 +233,9 @@ private:
 /// per-site slot map for O(1) lookup. The min-sum recompute that
 /// dominates the weighted-adaptive shape (it runs per element while an
 /// adaptive TW grows) then becomes one contiguous sweep over the count
-/// pairs, dispatched to the AVX2 or portable block kernel
-/// (core/BatchKernel.h); the interleaving also lands a site's two counts
-/// on the same cache line for the replace-delta path. The sum is an
+/// pairs (batchMinSum in core/BatchKernel.h, AVX2 where the CPU has
+/// it); the interleaving also lands a site's two counts on the same
+/// cache line for the replace-delta path. The sum is an
 /// integer sum of non-negative terms, so neither the roster order nor
 /// the lane evaluation order can perturb it — bit-identical to the
 /// reference kernel's touched-list recompute.
@@ -276,15 +267,6 @@ public:
   uint64_t cwTotal() const { return NCW; }
   uint64_t twTotal() const { return NTW; }
   SiteIndex numSites() const { return static_cast<SiteIndex>(Slot.size()); }
-
-  /// The CW counts live in packed roster lanes, not densely by site, so
-  /// the anchor scans take the scalar inCW path (anchoring runs once per
-  /// phase transition; the win here is the per-element recompute).
-  static constexpr bool HasDenseCW = false;
-  const uint32_t *cwCountsData() const { return nullptr; }
-
-  void setBatchEnabled(bool Enabled) { BatchEnabled = Enabled; }
-  bool batchEnabled() const { return BatchEnabled; }
 
   void reset() {
     // O(roster) un-enrollment, the counterpart of FastKernelBase's
@@ -555,10 +537,8 @@ private:
                 this->mul(KernelQuantity::ProductCWTW, cwAt(I), NTW),
                 this->mul(KernelQuantity::ProductTWCW, twAt(I), NCW)));
       MinSum = Sum;
-    } else if (BatchEnabled) {
-      MinSum = batchMinSum(RosterCounts.data(), RosterSize, NCW, NTW);
     } else {
-      MinSum = batchMinSumPortable(RosterCounts.data(), RosterSize, NCW, NTW);
+      MinSum = batchMinSum(RosterCounts.data(), RosterSize, NCW, NTW);
     }
   }
 
@@ -596,7 +576,6 @@ private:
   /// double(NCW) * double(NTW); valid iff !Dirty and both totals nonzero.
   double Denom = 0.0;
   bool Dirty = false;
-  bool BatchEnabled = true;
 };
 
 /// Non-virtual mirror of ManhattanKernel. similarity() must keep the
@@ -1015,9 +994,6 @@ public:
   uint64_t consumed() const { return GlobalConsumed; }
   const WindowConfig &config() const { return Config; }
 
-  void setBatchKernels(bool Enabled) { TheKernel.setBatchEnabled(Enabled); }
-  bool batchKernelsEnabled() const { return TheKernel.batchEnabled(); }
-
 private:
   uint64_t offsetOfTWIndex(uint64_t I) const {
     return GlobalConsumed - (TWLen + CWLen) + I;
@@ -1026,27 +1002,15 @@ private:
   uint64_t anchorPosition() const {
     assert(Head + TWLen + CWLen == Buffer.size() &&
            "window bookkeeping out of sync");
-    // Kernels with dense per-site CW counts dispatch the anchor scan to
-    // the blocked membership kernels: both scans return the index of the
-    // first matching element in scan order, exactly what the scalar
-    // loops below compute (core/BatchKernel.h documents the equivalence).
-    if constexpr (Kernel::HasDenseCW) {
-      if (TheKernel.batchEnabled()) {
-        const uint32_t *Counts = TheKernel.cwCountsData();
-        const SiteIndex *Window = Buffer.begin() + Head;
-        if (Config.Anchor == AnchorKind::RightmostNoisy)
-          return batchRightmostNoisy(Counts, Window, TWLen);
-        return batchLeftmostNonNoisy(Counts, Window, TWLen);
-      }
-    }
+    const SiteIndex *Window = Buffer.begin() + Head;
     if (Config.Anchor == AnchorKind::RightmostNoisy) {
       for (uint64_t I = TWLen; I != 0; --I)
-        if (!TheKernel.inCW(Buffer[Head + I - 1]))
+        if (!TheKernel.inCW(Window[I - 1]))
           return I;
       return 0;
     }
     for (uint64_t I = 0; I != TWLen; ++I)
-      if (TheKernel.inCW(Buffer[Head + I]))
+      if (TheKernel.inCW(Window[I]))
         return I;
     return TWLen;
   }

@@ -180,11 +180,6 @@ public:
   explicit SharedScanEngine(SiteIndex NumSites)
       : SharedKernel(NumSites), Sites(NumSites) {}
 
-  void setBatchKernels(bool Enabled) override {
-    SharedKernel.setBatchEnabled(Enabled);
-    BatchKernels = Enabled;
-  }
-  bool batchKernelsEnabled() const override { return BatchKernels; }
   SiteIndex numSites() const override { return Sites; }
 
   void run(const std::vector<DetectorConfig> &Configs,
@@ -347,14 +342,6 @@ private:
   uint64_t anchorPosition(AnchorKind Kind, uint64_t N) const {
     assert(N >= static_cast<uint64_t>(CW) + TW && "window not full yet");
     const SiteIndex *Window = Elements + (N - CW - TW);
-    if constexpr (Kernel::HasDenseCW) {
-      if (BatchKernels) {
-        const uint32_t *Counts = SharedKernel.cwCountsData();
-        if (Kind == AnchorKind::RightmostNoisy)
-          return batchRightmostNoisy(Counts, Window, TW);
-        return batchLeftmostNonNoisy(Counts, Window, TW);
-      }
-    }
     if (Kind == AnchorKind::RightmostNoisy) {
       for (uint64_t I = TW; I != 0; --I)
         if (!SharedKernel.inCW(Window[I - 1]))
@@ -597,7 +584,6 @@ private:
   uint64_t TW = 0;
   uint64_t CWLen = 0;
   uint64_t TWLen = 0;
-  bool BatchKernels = true;
 
   // The trace being scanned (valid during run()).
   const SiteIndex *Elements = nullptr;

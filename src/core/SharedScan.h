@@ -47,7 +47,7 @@
 /// The per-config FastPhaseDetector path remains the differential
 /// oracle: tests/SharedScanTest.cpp drives the full sweep grid through
 /// both and requires bit-identical StateSequences, phases, and
-/// anchored phases on both SIMD and portable backends.
+/// anchored phases.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,14 +127,10 @@ class SharedScanEngineBase {
 public:
   virtual ~SharedScanEngineBase() = default;
 
-  /// Enables or disables the SIMD batch kernels for subsequent runs,
-  /// exactly as FastDetectorBase::setBatchKernels. The caller passes
-  /// the merged KernelBounds admission verdict for the whole group: a
-  /// group may only batch if every member's certificate admits the
-  /// compiled lane plan (the shared kernel serves all of them).
-  virtual void setBatchKernels(bool Enabled) = 0;
-  /// Whether the batch kernels are currently enabled.
-  virtual bool batchKernelsEnabled() const = 0;
+  /// Has no effect: the batch kernel (core/BatchKernel.h) is exact for
+  /// every input, so there is nothing to enable or refuse. Kept only
+  /// for perfbench/src/Sweeps.cpp, which still calls it.
+  void setBatchKernels(bool /*Enabled*/) {}
 
   /// Runs the group over \p Elements / \p NumElements, writing config
   /// Configs[Members[I]]'s output into Runs[I] (cleared first). Every

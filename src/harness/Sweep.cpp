@@ -8,7 +8,6 @@
 #include "harness/Sweep.h"
 
 #include "analysis/ConfigAnalysis.h"
-#include "analysis/KernelBounds.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "core/SharedScan.h"
@@ -61,13 +60,7 @@ public:
   DetectorRun Run;
 
   /// The fast detector for \p Config, reconfigured and ready to run.
-  /// \p BatchAdmitted is the KernelBounds admission verdict for the
-  /// config (admitsBatchLanes): a batch kernel must refuse a config
-  /// whose certificate does not admit its compiled lane plan, so the
-  /// arena applies the verdict on every acquire — the flag survives
-  /// reconfigure(), and consecutive runs of one shape may differ in it.
-  OnlineDetector &acquire(const DetectorConfig &Config, SiteIndex Sites,
-                          bool BatchAdmitted) {
+  OnlineDetector &acquire(const DetectorConfig &Config, SiteIndex Sites) {
     if (Sites != NumSites) {
       for (std::unique_ptr<FastDetectorBase> &S : Shapes)
         S.reset();
@@ -78,7 +71,6 @@ public:
       Slot->reconfigure(Config);
     else
       Slot = makeFastDetector(Config, Sites);
-    Slot->setBatchKernels(BatchAdmitted);
     return *Slot;
   }
 };
@@ -152,11 +144,6 @@ void runConfigsShared(const BranchTrace &Trace,
     return GroupCost(Plan.Groups[A]) > GroupCost(Plan.Groups[B]);
   });
 
-  TraceBounds Bounds;
-  Bounds.TraceLen = Trace.size();
-  Bounds.MaxMultiplicity = 0; // unknown; TraceLen already bounds it
-  Bounds.NumSites = Trace.numSites();
-
   /// Per-worker engine arena: one reusable engine per model plus the
   /// group-sized run storage.
   struct EngineArena {
@@ -175,19 +162,6 @@ void runConfigsShared(const BranchTrace &Trace,
             Arena.Engines[static_cast<size_t>(G.Key.Model)];
         if (!Slot || Slot->numSites() != Trace.numSites())
           Slot = makeSharedScanEngine(G.Key.Model, Trace.numSites());
-
-        // Group-level batch admission: the shared kernel and its shards
-        // serve every member, so the group only batches if every
-        // member's certificate admits its lane plan (certificates of
-        // different detector shapes cannot be merged, so the verdicts
-        // are combined instead — equivalent, since a merged certificate
-        // admits exactly when its worst member does). Refusal means the
-        // portable paths: same bits, fewer lanes.
-        bool Admitted = true;
-        for (size_t Member : G.Members)
-          Admitted = Admitted &&
-                     admitsBatchLanes(certifyKernel(Planned[Member], Bounds));
-        Slot->setBatchKernels(Admitted);
 
         if (Arena.Runs.size() < G.Members.size())
           Arena.Runs.resize(G.Members.size());
@@ -229,17 +203,6 @@ void runConfigsPerConfig(const BranchTrace &Trace,
 
   std::vector<RunArena> Arenas(hardwareParallelism());
 
-  // Certificate-based batch-kernel admission, computed once per config
-  // against what the harness knows about this trace (its length bounds
-  // adaptive-TW growth and per-site multiplicity; the site-table size
-  // bounds the distinct counters). certifyKernel is pure arithmetic —
-  // microseconds against runs that stream hundreds of thousands of
-  // elements.
-  TraceBounds Bounds;
-  Bounds.TraceLen = Trace.size();
-  Bounds.MaxMultiplicity = 0; // unknown; TraceLen already bounds it
-  Bounds.NumSites = Trace.numSites();
-
   parallelFor(
       Order.size(),
       [&](size_t N, unsigned Worker) {
@@ -262,10 +225,7 @@ void runConfigsPerConfig(const BranchTrace &Trace,
           R.Counters = Stats.counters();
           Timer.restart();
         } else {
-          bool BatchAdmitted =
-              admitsBatchLanes(certifyKernel(Config, Bounds));
-          OnlineDetector &Detector =
-              Arena.acquire(Config, Trace.numSites(), BatchAdmitted);
+          OnlineDetector &Detector = Arena.acquire(Config, Trace.numSites());
           runDetector(Detector, Trace, Arena.Run);
           Run = &Arena.Run;
         }

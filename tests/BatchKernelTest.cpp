@@ -6,15 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch kernel layer (core/BatchKernel.h) is only admissible
-/// because every primitive is bit-identical across backends and because
-/// a batch kernel refuses configurations its KernelBounds certificate
-/// does not admit. This suite pins both claims: the min-sum sweep and
-/// the anchor scans against naive oracles over block-remainder tails and
-/// lane-saturating values on both backends, whole weighted detector runs
-/// against the reference detector per backend (including mid-block
-/// window flushes and the certificate-refused scalar path), and the
-/// 18-shape lane-plan admission table against the certifier.
+/// The batch min-sum (core/BatchKernel.h) needs no admission because it
+/// is exact for every input: the AVX2 sweep where the CPU has it, the
+/// scalar loop otherwise and for totals of 2^32 or more. This suite pins
+/// that claim against a naive oracle over every block-remainder tail,
+/// products straddling 2^63 and totals beyond the lane guard; whole
+/// detector runs against the reference detector; and the 18-shape
+/// lane-plan verdict kernel_check prints against the certifier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,31 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <utility>
 
 using namespace opd;
 
 namespace {
-
-/// Restores the dispatch backend a test pinned (the slot is process
-/// state; leaking a forced backend would silently change what every
-/// later test exercises).
-class BackendGuard {
-  BatchBackend Saved;
-
-public:
-  BackendGuard() : Saved(activeBatchBackend()) {}
-  ~BackendGuard() { setBatchBackend(Saved); }
-};
-
-/// The backends this host can actually run (Portable always; AVX2 when
-/// compiled in and supported).
-std::vector<BatchBackend> runnableBackends() {
-  std::vector<BatchBackend> B{BatchBackend::Portable};
-  if (simdAvailable())
-    B.push_back(BatchBackend::AVX2);
-  return B;
-}
 
 /// Naive mod-2^64 oracle for batchMinSum over interleaved (cw, tw)
 /// pairs.
@@ -70,12 +50,11 @@ const BenchmarkData &testBenchmark() {
   return Data.front();
 }
 
-/// Weighted-model configurations exercising the batch-kernel paths:
+/// Weighted and unweighted configurations exercising the batch min-sum:
 /// adaptive growth (the per-element recompute), both anchors and
-/// resizes (the blocked scans via the constant-policy dense kernels are
-/// covered by the unweighted config), and window sizes that are not
-/// multiples of the 8-wide blocks so flushes land mid-block and the
-/// sweep always has a remainder tail.
+/// resizes, and window sizes that are not multiples of the 8-wide
+/// blocks so flushes land mid-block and the sweep always has a
+/// remainder tail.
 std::vector<DetectorConfig> batchConfigs() {
   SweepSpec Spec;
   Spec.CWSizes = {37, 64, 400};
@@ -123,221 +102,93 @@ DetectorConfig shapeConfig(size_t S) {
 
 } // namespace
 
-TEST(BatchKernelBackendTest, EnvOverrideOnlyForcesThePortableFallback) {
-  for (BatchBackend Detected :
-       {BatchBackend::Portable, BatchBackend::AVX2}) {
-    // The documented fallback spellings force Portable...
-    for (const char *Off : {"off", "portable", "0", "scalar"})
-      EXPECT_EQ(batchBackendFromEnv(Off, Detected), BatchBackend::Portable)
-          << Off;
-    // ...and nothing can enable lanes the hardware detection did not:
-    // unset/empty/"on"/garbage all keep the detected backend.
-    EXPECT_EQ(batchBackendFromEnv(nullptr, Detected), Detected);
-    EXPECT_EQ(batchBackendFromEnv("", Detected), Detected);
-    EXPECT_EQ(batchBackendFromEnv("on", Detected), Detected);
-    EXPECT_EQ(batchBackendFromEnv("avx2", Detected), Detected);
-    EXPECT_EQ(batchBackendFromEnv("bogus", Detected), Detected);
-  }
-}
-
-TEST(BatchKernelBackendTest, SetBackendIsBoundedByAvailability) {
-  BackendGuard Guard;
-  EXPECT_TRUE(setBatchBackend(BatchBackend::Portable));
-  EXPECT_EQ(activeBatchBackend(), BatchBackend::Portable);
-  bool Enabled = setBatchBackend(BatchBackend::AVX2);
-  EXPECT_EQ(Enabled, simdAvailable());
-  // A refused request must leave the process on the fallback, not on a
-  // backend the host cannot execute.
-  EXPECT_EQ(activeBatchBackend(),
-            Enabled ? BatchBackend::AVX2 : BatchBackend::Portable);
-  if (!simdCompiledIn()) {
-    EXPECT_FALSE(simdAvailable());
-  }
-}
-
-TEST(BatchKernelMinSumTest, MatchesNaiveAcrossTailSizesOnEveryBackend) {
-  BackendGuard Guard;
+TEST(BatchKernelMinSumTest, MatchesNaiveAtEveryTailLength) {
   std::mt19937 Rng(7);
   std::uniform_int_distribution<uint32_t> Count(0, 5000);
-  // Sizes straddling the 8-wide unrolled blocks, the 4-wide sign-flip
-  // blocks, and their remainder tails.
-  for (size_t N : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 31u, 64u,
-                   100u, 1000u}) {
+  // Every length up to several 8-wide blocks, so the unrolled loop
+  // leaves every remainder for the scalar tail.
+  for (size_t N = 0; N != 67; ++N) {
     std::vector<uint32_t> Pairs(2 * N);
     for (uint32_t &P : Pairs)
       P = Count(Rng);
     for (uint64_t NCW : {0ull, 1ull, 4999ull, 1000000ull})
-      for (uint64_t NTW : {0ull, 3ull, 5001ull}) {
-        uint64_t Expected = naiveMinSum(Pairs, NCW, NTW);
-        ASSERT_EQ(batchMinSumPortable(Pairs.data(), N, NCW, NTW), Expected);
-        for (BatchBackend B : runnableBackends()) {
-          ASSERT_TRUE(setBatchBackend(B));
-          ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW), Expected)
-              << "N=" << N << " backend=" << batchBackendName(B);
-        }
+      for (uint64_t NTW : {0ull, 3ull, 5001ull})
+        ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW),
+                  naiveMinSum(Pairs, NCW, NTW))
+            << "N=" << N << " NCW=" << NCW << " NTW=" << NTW;
+  }
+}
+
+TEST(BatchKernelMinSumTest, ProductsStraddling2To63StayExact) {
+  // Totals just under the 2^32 guard put NCW*NTW above 2^63, which
+  // selects the AVX2 sign-flip loop. One big site per roster carries
+  // counts near 2^31, so its products land on both sides of 2^63 (a
+  // signed lane compare would pick the wrong minimum); the other sites
+  // stay small. The counts fit inside the totals, so the sum stays below
+  // NCW*NTW < 2^64 and nothing wraps.
+  const uint64_t NCW = (1ull << 32) - 1;
+  const uint64_t NTW = (1ull << 32) - 3;
+  const uint32_t BigCounts[][2] = {{(1u << 31) + 5, (1u << 31) - 7},
+                                   {(1u << 31) - 9, (1u << 31) + 2},
+                                   {(1u << 31) + 3, (1u << 31) + 11}};
+  std::mt19937 Rng(13);
+  std::uniform_int_distribution<uint32_t> Small(0, 1000);
+  for (size_t N = 1; N != 21; ++N)
+    for (size_t Big = 0; Big != N; ++Big)
+      for (const uint32_t *BigPair : BigCounts) {
+        std::vector<uint32_t> Pairs(2 * N);
+        for (uint32_t &P : Pairs)
+          P = Small(Rng);
+        Pairs[2 * Big] = BigPair[0];
+        Pairs[2 * Big + 1] = BigPair[1];
+        ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW),
+                  naiveMinSum(Pairs, NCW, NTW))
+            << "N=" << N << " big site " << Big;
       }
-  }
 }
 
-TEST(BatchKernelMinSumTest, LaneSaturatingValuesStayExact) {
-  BackendGuard Guard;
-  // Counts at the uint32_t lane limit with totals just under the 2^32
-  // dispatch guard: every product approaches 2^64 (so the sign-flip
-  // unsigned-compare path runs) and the sum wraps mod 2^64 — which both
-  // backends must do identically, since mod-2^64 addition commutes.
-  const uint64_t Total = (1ull << 32) - 1;
-  std::vector<uint32_t> Pairs(2 * 21);
-  for (size_t I = 0; I != 21; ++I) {
-    Pairs[2 * I] = UINT32_MAX - static_cast<uint32_t>(I);
-    Pairs[2 * I + 1] = static_cast<uint32_t>(I * 97 + 1);
-  }
-  uint64_t Expected = naiveMinSum(Pairs, Total, Total - 2);
-  for (BatchBackend B : runnableBackends()) {
-    ASSERT_TRUE(setBatchBackend(B));
-    ASSERT_EQ(batchMinSum(Pairs.data(), 21, Total, Total - 2), Expected)
-        << batchBackendName(B);
-  }
-}
-
-TEST(BatchKernelMinSumTest, TotalsBeyondTheLaneGuardTakeThePortablePath) {
-  BackendGuard Guard;
-  // Totals at or above 2^32 cannot use the 32x32->64 lane multiply; the
-  // dispatcher must fall back so results still match the wrapping
-  // scalar loop bit for bit.
+TEST(BatchKernelMinSumTest, TotalsBeyondTheLaneGuardTakeTheScalarLoop) {
+  // Totals at or above 2^32 cannot use the 32x32->64 lane multiply, so
+  // every host runs the scalar loop here; it must still match the oracle
+  // bit for bit. The products stay below 2^64, so the integer sanitizer
+  // checks this loop without tripping on intended wraparound.
   const uint64_t Wide = (1ull << 32) + 12345;
-  std::vector<uint32_t> Pairs = {7, 11, 100000, 3, UINT32_MAX, 1, 0, 42,
-                                 13, 13};
-  uint64_t Expected = naiveMinSum(Pairs, Wide, 999);
-  uint64_t Expected2 = naiveMinSum(Pairs, 999, Wide);
-  for (BatchBackend B : runnableBackends()) {
-    ASSERT_TRUE(setBatchBackend(B));
-    ASSERT_EQ(batchMinSum(Pairs.data(), 5, Wide, 999), Expected);
-    ASSERT_EQ(batchMinSum(Pairs.data(), 5, 999, Wide), Expected2);
-  }
-}
-
-TEST(BatchKernelAnchorTest, ScansMatchTheOracleOnEveryBackend) {
-  BackendGuard Guard;
-  // A small site table with a mix of zero and nonzero counts, scanned
-  // through windows of every length up to several blocks, with the
-  // zero-count element planted at every offset (plus all-zero and
-  // all-nonzero windows).
-  std::vector<uint32_t> Counts(32);
-  for (size_t S = 0; S != Counts.size(); ++S)
-    Counts[S] = S % 2 ? static_cast<uint32_t>(S) : 0;
-  std::mt19937 Rng(11);
-  for (uint64_t N : {0u, 1u, 2u, 7u, 8u, 9u, 16u, 23u, 40u}) {
-    for (int Pattern = 0; Pattern != 4; ++Pattern) {
-      std::vector<SiteIndex> Elements(N);
-      for (uint64_t I = 0; I != N; ++I) {
-        switch (Pattern) {
-        case 0: // all noisy (zero-count sites)
-          Elements[I] = static_cast<SiteIndex>((I * 2) % 32);
-          break;
-        case 1: // none noisy
-          Elements[I] = static_cast<SiteIndex>((I * 2 + 1) % 32);
-          break;
-        default: // random mix
-          Elements[I] = static_cast<SiteIndex>(Rng() % 32);
-        }
-      }
-      uint64_t Right =
-          batchRightmostNoisyPortable(Counts.data(), Elements.data(), N);
-      uint64_t Left =
-          batchLeftmostNonNoisyPortable(Counts.data(), Elements.data(), N);
-      for (BatchBackend B : runnableBackends()) {
-        ASSERT_TRUE(setBatchBackend(B));
-        ASSERT_EQ(batchRightmostNoisy(Counts.data(), Elements.data(), N),
-                  Right)
-            << "N=" << N << " pattern=" << Pattern << " backend="
-            << batchBackendName(B);
-        ASSERT_EQ(batchLeftmostNonNoisy(Counts.data(), Elements.data(), N),
-                  Left)
-            << "N=" << N << " pattern=" << Pattern << " backend="
-            << batchBackendName(B);
-      }
-    }
-  }
-  // The planted single-zero sweep: rightmost must report exactly 1 +
-  // the plant position, leftmost exactly the first odd (nonzero) site.
-  for (uint64_t N : {9u, 17u}) {
-    for (uint64_t Plant = 0; Plant != N; ++Plant) {
-      std::vector<SiteIndex> Elements(N, 1); // site 1: nonzero count
-      Elements[Plant] = 0;                   // site 0: zero count
-      for (BatchBackend B : runnableBackends()) {
-        ASSERT_TRUE(setBatchBackend(B));
-        ASSERT_EQ(batchRightmostNoisy(Counts.data(), Elements.data(), N),
-                  Plant + 1);
-        ASSERT_EQ(batchLeftmostNonNoisy(Counts.data(), Elements.data(), N),
-                  Plant == 0 ? 1u : 0u);
-      }
-    }
+  std::mt19937 Rng(17);
+  std::uniform_int_distribution<uint32_t> Count(0, 100000);
+  for (size_t N = 0; N != 21; ++N) {
+    std::vector<uint32_t> Pairs(2 * N);
+    for (uint32_t &P : Pairs)
+      P = Count(Rng);
+    for (uint64_t Narrow : {0ull, 999ull, (1ull << 32) - 1})
+      for (auto [NCW, NTW] : {std::pair{Wide, Narrow}, std::pair{Narrow, Wide},
+                              std::pair{Wide, Wide}})
+        ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW),
+                  naiveMinSum(Pairs, NCW, NTW))
+            << "N=" << N << " NCW=" << NCW << " NTW=" << NTW;
   }
 }
 
 // The load-bearing differential: whole weighted/unweighted detector runs
 // — including mid-block window flushes, resizes, and anchor scans — are
-// bit-identical to the reference detector on every runnable backend.
+// bit-identical to the reference detector.
 TEST(BatchKernelDifferentialTest, DetectorRunsBitIdenticalPerBackend) {
-  BackendGuard Guard;
   const BenchmarkData &Bench = testBenchmark();
   for (const DetectorConfig &Config : batchConfigs()) {
     std::unique_ptr<PhaseDetector> Reference =
         makeDetector(Config, Bench.Trace.numSites());
     DetectorRun ReferenceRun = runDetector(*Reference, Bench.Trace);
-    for (BatchBackend B : runnableBackends()) {
-      ASSERT_TRUE(setBatchBackend(B));
-      std::unique_ptr<FastDetectorBase> Fast =
-          makeFastDetector(Config, Bench.Trace.numSites());
-      ASSERT_TRUE(Fast->batchKernelsEnabled());
-      DetectorRun FastRun = runDetector(*Fast, Bench.Trace);
-      expectRunsEqual(ReferenceRun, FastRun, Config, batchBackendName(B));
-    }
-  }
-}
-
-// A certificate-refused config runs the scalar paths and must still be
-// bit-identical (refusal is the admission gate, not a behavioral fork);
-// the flag must also survive reconfigure().
-TEST(BatchKernelDifferentialTest, RefusedConfigsTakeTheScalarPathsExactly) {
-  BackendGuard Guard;
-  const BenchmarkData &Bench = testBenchmark();
-  std::vector<DetectorConfig> Configs = batchConfigs();
-  for (size_t I = 0; I < Configs.size(); I += 7) {
-    const DetectorConfig &Config = Configs[I];
-    std::unique_ptr<PhaseDetector> Reference =
-        makeDetector(Config, Bench.Trace.numSites());
-    DetectorRun ReferenceRun = runDetector(*Reference, Bench.Trace);
     std::unique_ptr<FastDetectorBase> Fast =
         makeFastDetector(Config, Bench.Trace.numSites());
-    Fast->setBatchKernels(false);
-    ASSERT_FALSE(Fast->batchKernelsEnabled());
     DetectorRun FastRun = runDetector(*Fast, Bench.Trace);
-    expectRunsEqual(ReferenceRun, FastRun, Config, "refused");
-    Fast->reconfigure(Config);
-    EXPECT_FALSE(Fast->batchKernelsEnabled())
-        << "the admission verdict must survive reconfigure()";
-    Fast->setBatchKernels(true);
-    Fast->reconfigure(Config);
-    EXPECT_TRUE(Fast->batchKernelsEnabled());
+    expectRunsEqual(ReferenceRun, FastRun, Config, "fast");
   }
 }
 
-TEST(BatchKernelLanePlanTest, CompiledPlansPerModel) {
-  BatchLanePlan Weighted = batchLanePlan(ModelKind::WeightedSet);
-  EXPECT_EQ(Weighted.CountLaneBits, 32u);
-  EXPECT_EQ(Weighted.ProductLaneBits, 64u);
-  for (ModelKind M : {ModelKind::UnweightedSet, ModelKind::ManhattanBBV}) {
-    BatchLanePlan Plan = batchLanePlan(M);
-    EXPECT_EQ(Plan.CountLaneBits, 32u);
-    EXPECT_EQ(Plan.ProductLaneBits, 0u);
-  }
-}
-
-// All 18 monomorphic shapes against the admission logic kernel_check's
+// All 18 monomorphic shapes against the verdict kernel_check's
 // --lane-plan table prints: a bounded trace certifies every shape into
-// the compiled plans; an unbounded trace leaves every adaptive shape's
-// TW-dependent quantities uncertified, which must refuse.
+// 32-bit count and 64-bit product lanes; an unbounded trace leaves
+// every adaptive shape's TW-dependent quantities uncertified, which must
+// refuse.
 TEST(BatchKernelLanePlanTest, EighteenShapesMatchTheCertifierVerdict) {
   TraceBounds Bounded;
   Bounded.TraceLen = 2000000;
@@ -348,16 +199,96 @@ TEST(BatchKernelLanePlanTest, EighteenShapesMatchTheCertifierVerdict) {
     KernelCertificate Cert = certifyKernel(C, Bounded);
     EXPECT_TRUE(Cert.NoWraparound) << C.describe();
     EXPECT_TRUE(admitsBatchLanes(Cert)) << C.describe();
-    BatchLanePlan Plan = batchLanePlan(C.Model);
-    EXPECT_LE(Cert.CountLaneBits, Plan.CountLaneBits) << C.describe();
-    if (Plan.ProductLaneBits != 0) {
-      EXPECT_LE(Cert.ProductLaneBits, Plan.ProductLaneBits) << C.describe();
-    }
+    EXPECT_NE(Cert.CountLaneBits, 0u) << C.describe();
+    EXPECT_LE(Cert.CountLaneBits, 32u) << C.describe();
+    EXPECT_NE(Cert.ProductLaneBits, 0u) << C.describe();
+    EXPECT_LE(Cert.ProductLaneBits, 64u) << C.describe();
 
     KernelCertificate Unbounded = certifyKernel(C, TraceBounds());
     bool Adaptive = C.Window.TWPolicy == TWPolicyKind::Adaptive;
     EXPECT_EQ(admitsBatchLanes(Unbounded), !Adaptive)
         << C.describe() << ": adaptive TW growth without a trace bound "
         << "cannot certify the count lanes";
+  }
+}
+
+namespace {
+
+/// \p Configs certified under \p Stats and merged per shape, as
+/// kernel_check does before printing its lane plan.
+std::vector<KernelCertificate>
+mergedPerShape(const std::vector<DetectorConfig> &Configs,
+               const TraceBounds &Stats) {
+  std::vector<std::optional<KernelCertificate>> Merged(NumFastShapes);
+  for (const DetectorConfig &C : Configs) {
+    KernelCertificate Cert = certifyKernel(C, Stats);
+    if (Merged[Cert.Shape])
+      mergeCertificate(*Merged[Cert.Shape], Cert);
+    else
+      Merged[Cert.Shape] = Cert;
+  }
+  std::vector<KernelCertificate> Out;
+  for (const std::optional<KernelCertificate> &M : Merged)
+    if (M)
+      Out.push_back(*M);
+  return Out;
+}
+
+/// admitsBatchLanes must equal the certificate's no-wraparound claim.
+void expectAdmissionIsNoWraparound(const KernelCertificate &C,
+                                   const std::string &Where) {
+  EXPECT_EQ(admitsBatchLanes(C), C.NoWraparound)
+      << Where << ": " << C.Config.describe();
+}
+
+} // namespace
+
+// The lane-plan verdict is exactly the no-wraparound claim: ruling out
+// wraparound bounds every count by UINT32_MAX and every wide quantity by
+// UINT64_MAX, which is the lane plan of every model. Checked on the 18
+// shapes, on every preset and on the adversarial config.
+TEST(BatchKernelLanePlanTest, AdmissionIsExactlyNoWraparoundOnTheShapes) {
+  TraceBounds Bounded;
+  Bounded.TraceLen = 2000000;
+  for (size_t S = 0; S != NumFastShapes; ++S) {
+    expectAdmissionIsNoWraparound(certifyKernel(shapeConfig(S), Bounded),
+                                  "bounded shape");
+    expectAdmissionIsNoWraparound(
+        certifyKernel(shapeConfig(S), TraceBounds()), "default shape");
+  }
+}
+
+TEST(BatchKernelLanePlanTest, AdmissionIsExactlyNoWraparoundOnThePresets) {
+  // Every preset at the evaluation's trace scale, as the kernel_check_*
+  // ctests certify them.
+  TraceBounds Paper;
+  Paper.TraceLen = 62000000;
+  for (const KernelCertificate &C :
+       mergedPerShape(enumerateCrossProduct(paperCrossSpec()), Paper))
+    expectAdmissionIsNoWraparound(C, "paper");
+  for (const std::string &Name : benchSweepNames())
+    for (const KernelCertificate &C : mergedPerShape(
+             enumerateConfigs(benchSweepSpec(Name, paperAnalyzers())), Paper))
+      expectAdmissionIsNoWraparound(C, Name);
+}
+
+TEST(BatchKernelLanePlanTest,
+     AdmissionIsExactlyNoWraparoundOnTheAdversarialConfig) {
+  // The kernel_check_adversarial config: --cw 4000000000 --models
+  // weighted --policies adaptive --trace-len 8000M.
+  SweepSpec Adversarial;
+  Adversarial.CWSizes = {4000000000u};
+  Adversarial.TWPolicies = {TWPolicyKind::Adaptive};
+  Adversarial.Models = {ModelKind::WeightedSet};
+  Adversarial.Analyzers = {{AnalyzerKind::Threshold, 0.6},
+                           {AnalyzerKind::Average, 0.05}};
+  TraceBounds Long;
+  Long.TraceLen = 8000000000ull;
+  std::vector<KernelCertificate> Certs =
+      mergedPerShape(enumerateConfigs(Adversarial), Long);
+  ASSERT_FALSE(Certs.empty());
+  for (const KernelCertificate &C : Certs) {
+    EXPECT_FALSE(C.NoWraparound) << C.Config.describe();
+    expectAdmissionIsNoWraparound(C, "adversarial");
   }
 }

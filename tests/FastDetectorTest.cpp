@@ -14,15 +14,17 @@
 /// factor/window-size corner cases — and requires equal StateSequences,
 /// detected phases, and anchored phases, run by run. It also holds the
 /// sweep harness's two paths (fast arenas vs reference stats collection)
-/// to equal scores, and arena reuse via reconfigure() to fresh-detector
-/// output.
+/// to equal scores, arena reuse via reconfigure() to fresh-detector
+/// output, and the anchor scans to the reference at both ends of the TW.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/DetectorObserver.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -78,6 +80,61 @@ void expectRunsEqual(const DetectorRun &Reference, const DetectorRun &Fast,
   ASSERT_EQ(Reference.DetectedPhases, Fast.DetectedPhases) << Desc;
   ASSERT_EQ(Reference.AnchoredPhases, Fast.AnchoredPhases) << Desc;
 }
+
+/// Blocks of disjoint site vocabularies (three vocabularies, cycled).
+/// Right after a block boundary the TW still holds the old vocabulary
+/// while the CW has moved on, and the Average analyzer re-enters a phase
+/// optimistically once its statistics reset, so phase starts see a TW
+/// with every element noisy as well as one with none.
+BranchTrace makeDisjointBlockTrace() {
+  const unsigned Vocab = 8;
+  BranchTrace Trace;
+  for (unsigned S = 0; S != 3 * Vocab; ++S)
+    Trace.internSite(ProfileElement(0, S, true));
+  Xoshiro256 Rng(41);
+  for (unsigned Block = 0; Block != 9; ++Block)
+    for (unsigned I = 0; I != 600; ++I)
+      Trace.appendIndex(static_cast<SiteIndex>((Block % 3) * Vocab +
+                                               Rng.nextBelow(Vocab)));
+  return Trace;
+}
+
+/// Every shape with both anchors and resizes, at window sizes that fit
+/// well inside one block.
+std::vector<DetectorConfig> anchorConfigs() {
+  SweepSpec Spec;
+  Spec.CWSizes = {40, 150};
+  Spec.TWFactors = {1, 2};
+  Spec.SkipFactors = {1, 9};
+  Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                 ModelKind::ManhattanBBV};
+  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5},
+                    {AnalyzerKind::Average, 0.01},
+                    {AnalyzerKind::Average, 0.3},
+                    {AnalyzerKind::Hysteresis, 0.6}};
+  Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
+  Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
+  return enumerateCrossProduct(Spec);
+}
+
+/// Records, for a Constant-policy run (whose windows are exactly CW and
+/// TW long at every T->P flip), whether an anchor scan returned the
+/// TW's first index or one past its last.
+class AnchorEndObserver final : public DetectorObserver {
+  uint64_t CW, TW;
+
+public:
+  bool SawFront = false;
+  bool SawBack = false;
+
+  explicit AnchorEndObserver(const WindowConfig &W)
+      : CW(W.CWSize), TW(W.TWSize) {}
+
+  void onAnchor(uint64_t Offset, AnchorKind, uint64_t AnchorOffset) override {
+    SawFront |= AnchorOffset + CW + TW == Offset;
+    SawBack |= AnchorOffset + CW == Offset;
+  }
+};
 
 } // namespace
 
@@ -219,4 +276,31 @@ TEST(FastDetectorTest, PartialTrailingBatchMatchesReference) {
   DetectorRun FastRun = runDetector(*Fast, B.Trace);
   ASSERT_NE(B.Trace.size() % Config.Window.SkipFactor, 0u);
   expectRunsEqual(ReferenceRun, FastRun, Config);
+}
+
+// The anchor scans' loop bounds: on a trace whose phase starts see both
+// a wholly noisy and a wholly stable TW, each scan returns both ends of
+// the TW, and the fast path's anchored phases match the reference's.
+TEST(FastDetectorTest, AnchorScansReachBothTWEndsBitIdentical) {
+  BranchTrace Trace = makeDisjointBlockTrace();
+  std::array<bool, 2> Front{}, Back{};
+  for (const DetectorConfig &Config : anchorConfigs()) {
+    std::unique_ptr<PhaseDetector> Reference =
+        makeDetector(Config, Trace.numSites());
+    AnchorEndObserver Ends(Config.Window);
+    DetectorRun ReferenceRun = runDetector(*Reference, Trace, &Ends);
+    std::unique_ptr<FastDetectorBase> Fast =
+        makeFastDetector(Config, Trace.numSites());
+    expectRunsEqual(ReferenceRun, runDetector(*Fast, Trace), Config);
+    if (Config.Window.TWPolicy == TWPolicyKind::Constant) {
+      size_t Kind = static_cast<size_t>(Config.Window.Anchor);
+      Front[Kind] |= Ends.SawFront;
+      Back[Kind] |= Ends.SawBack;
+    }
+  }
+  for (AnchorKind Kind :
+       {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy}) {
+    EXPECT_TRUE(Front[static_cast<size_t>(Kind)]) << anchorKindName(Kind);
+    EXPECT_TRUE(Back[static_cast<size_t>(Kind)]) << anchorKindName(Kind);
+  }
 }

@@ -14,7 +14,7 @@
 /// observes must fall inside the certified interval for its quantity —
 /// with zero arithmetic overflows — on both the reference and the fast
 /// path. A certificate the shadow run cannot violate is what licenses
-/// the SIMD lane plan.
+/// its no-wraparound claim and lane plan.
 ///
 //===----------------------------------------------------------------------===//
 

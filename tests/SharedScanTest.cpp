@@ -11,11 +11,10 @@
 /// detector. This suite is the guard: it drives the full configuration
 /// shape grid through the engine and requires equal StateSequences,
 /// detected phases, and anchored phases against both the per-config
-/// fast path and the reference PhaseDetector, on both the batch and
-/// portable kernel backends; it holds the sweep harness's shared and
-/// per-config engines to bit-identical scores (pruned and unpruned);
-/// and it pins the paper preset's group structure so plan regressions
-/// are loud.
+/// fast path and the reference PhaseDetector; it holds the sweep
+/// harness's shared and per-config engines to bit-identical scores
+/// (pruned and unpruned); and it pins the paper preset's group
+/// structure so plan regressions are loud.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +23,7 @@
 #include "core/SharedScan.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -86,7 +86,7 @@ void expectRunsEqual(const DetectorRun &Expected, const DetectorRun &Actual,
 /// model — and returns one DetectorRun per config, in config order.
 std::vector<DetectorRun>
 runShared(const std::vector<DetectorConfig> &Configs,
-          const BranchTrace &Trace, bool BatchKernels) {
+          const BranchTrace &Trace) {
   SharedScanPlan Plan = planSharedScan(Configs);
   std::array<std::unique_ptr<SharedScanEngineBase>, 3> Engines;
   std::vector<DetectorRun> Out(Configs.size());
@@ -96,7 +96,6 @@ runShared(const std::vector<DetectorConfig> &Configs,
         Engines[static_cast<size_t>(G.Key.Model)];
     if (!Engine)
       Engine = makeSharedScanEngine(G.Key.Model, Trace.numSites());
-    Engine->setBatchKernels(BatchKernels);
     if (GroupRuns.size() < G.Members.size())
       GroupRuns.resize(G.Members.size());
     Engine->run(Configs, G.Members, Trace.elements().data(), Trace.size(),
@@ -105,6 +104,22 @@ runShared(const std::vector<DetectorConfig> &Configs,
       Out[G.Members[I]] = GroupRuns[I];
   }
   return Out;
+}
+
+/// Blocks of disjoint site vocabularies, as in FastDetectorTest: phase
+/// starts there see a TW with every element noisy as well as one with
+/// none, so both anchor scans return both ends of the TW.
+BranchTrace makeDisjointBlockTrace() {
+  const unsigned Vocab = 8;
+  BranchTrace Trace;
+  for (unsigned S = 0; S != 3 * Vocab; ++S)
+    Trace.internSite(ProfileElement(0, S, true));
+  Xoshiro256 Rng(41);
+  for (unsigned Block = 0; Block != 9; ++Block)
+    for (unsigned I = 0; I != 600; ++I)
+      Trace.appendIndex(static_cast<SiteIndex>((Block % 3) * Vocab +
+                                               Rng.nextBelow(Vocab)));
+  return Trace;
 }
 
 } // namespace
@@ -150,17 +165,13 @@ TEST(SharedScanTest, PlanPartitionsByWindowKernelShape) {
 
 // The load-bearing test: every configuration in the shape/corner-case
 // cross product produces bit-identical output through the shared scan,
-// the per-config fast path, and the reference detector — on both the
-// batch and portable kernel backends.
+// the per-config fast path, and the reference detector.
 TEST(SharedScanTest, BitIdenticalToFastAndReferenceAcrossTheConfigSpace) {
   const BenchmarkData &B = testBenchmark();
   std::vector<DetectorConfig> Configs = differentialConfigs();
   ASSERT_GT(Configs.size(), 500u);
 
-  std::vector<DetectorRun> Shared =
-      runShared(Configs, B.Trace, /*BatchKernels=*/true);
-  std::vector<DetectorRun> Portable =
-      runShared(Configs, B.Trace, /*BatchKernels=*/false);
+  std::vector<DetectorRun> Shared = runShared(Configs, B.Trace);
 
   for (size_t I = 0; I != Configs.size(); ++I) {
     const DetectorConfig &Config = Configs[I];
@@ -168,8 +179,6 @@ TEST(SharedScanTest, BitIdenticalToFastAndReferenceAcrossTheConfigSpace) {
         makeFastDetector(Config, B.Trace.numSites());
     DetectorRun FastRun = runDetector(*Fast, B.Trace);
     expectRunsEqual(FastRun, Shared[I], Config, "shared vs fast");
-    expectRunsEqual(FastRun, Portable[I], Config,
-                    "shared portable vs fast");
 
     std::unique_ptr<PhaseDetector> Reference =
         makeDetector(Config, B.Trace.numSites());
@@ -213,8 +222,7 @@ TEST(SharedScanTest, StrideAndWindowCornerCases) {
   Configs.push_back(Huge);
   ASSERT_NE(TraceLen % 97, 0u);
 
-  std::vector<DetectorRun> Shared =
-      runShared(Configs, B.Trace, /*BatchKernels=*/true);
+  std::vector<DetectorRun> Shared = runShared(Configs, B.Trace);
   for (size_t I = 0; I != Configs.size(); ++I) {
     std::unique_ptr<FastDetectorBase> Fast =
         makeFastDetector(Configs[I], B.Trace.numSites());
@@ -312,4 +320,59 @@ TEST(SharedScanTest, EngineReuseAcrossGroupsMatchesFreshEngines) {
       expectRunsEqual(Forward[G.Members[I]], GroupRuns[I],
                       Configs[G.Members[I]], "warm reuse");
   }
+}
+
+// The shared engine's anchor scan over the trace slice must return the
+// same TW index as the per-config windows at both ends of the TW: with
+// every TW element noisy and with none.
+TEST(SharedScanTest, AnchorScansAtBothTWEndsMatchFastAndReference) {
+  BranchTrace Trace = makeDisjointBlockTrace();
+  SweepSpec Spec;
+  Spec.CWSizes = {40, 150};
+  Spec.TWFactors = {1, 2};
+  Spec.SkipFactors = {1, 9};
+  Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                 ModelKind::ManhattanBBV};
+  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5},
+                    {AnalyzerKind::Average, 0.01},
+                    {AnalyzerKind::Average, 0.3},
+                    {AnalyzerKind::Hysteresis, 0.6}};
+  Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
+  Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
+
+  std::vector<DetectorRun> Shared = runShared(Configs, Trace);
+  for (size_t I = 0; I != Configs.size(); ++I) {
+    std::unique_ptr<FastDetectorBase> Fast =
+        makeFastDetector(Configs[I], Trace.numSites());
+    expectRunsEqual(runDetector(*Fast, Trace), Shared[I], Configs[I],
+                    "blocks vs fast");
+    std::unique_ptr<PhaseDetector> Reference =
+        makeDetector(Configs[I], Trace.numSites());
+    expectRunsEqual(runDetector(*Reference, Trace), Shared[I], Configs[I],
+                    "blocks vs reference");
+  }
+}
+
+// setBatchKernels stays on the engine base only as a no-op for an older
+// caller: a group run after either setting is the same run.
+TEST(SharedScanTest, SetBatchKernelsChangesNothing) {
+  const BenchmarkData &B = testBenchmark();
+  std::vector<DetectorConfig> Configs = differentialConfigs();
+  std::vector<DetectorRun> Expected = runShared(Configs, B.Trace);
+  SharedScanPlan Plan = planSharedScan(Configs);
+  std::vector<DetectorRun> GroupRuns;
+  for (bool Enabled : {false, true})
+    for (const SharedScanGroup &G : Plan.Groups) {
+      std::unique_ptr<SharedScanEngineBase> Engine =
+          makeSharedScanEngine(G.Key.Model, B.Trace.numSites());
+      Engine->setBatchKernels(Enabled);
+      GroupRuns.resize(std::max(GroupRuns.size(), G.Members.size()));
+      Engine->run(Configs, G.Members, B.Trace.elements().data(),
+                  B.Trace.size(), GroupRuns);
+      for (size_t I = 0; I != G.Members.size(); ++I)
+        expectRunsEqual(Expected[G.Members[I]], GroupRuns[I],
+                        Configs[G.Members[I]],
+                        Enabled ? "batch kernels on" : "batch kernels off");
+    }
 }
