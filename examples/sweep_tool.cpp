@@ -24,9 +24,6 @@
 ///                                         # equivalence class; scores
 ///                                         # are bit-identical, --stats
 ///                                         # shows the runs saved
-///   sweep_tool --engine per-config ...    # bypass the shared-scan
-///                                         # engine (the differential
-///                                         # oracle; default: shared)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,17 +50,14 @@ int main(int Argc, char **Argv) {
   Args.addOption("scale", "workload scale factor", "1.0");
   Args.addFlag("anchored", "also score anchor-corrected starts");
   Args.addFlag("stats", "print per-configuration observability counters "
-                        "and stage timings to stderr");
+                        "and stage timings to stderr; runs every "
+                        "configuration on the reference detector, several "
+                        "times slower than the default engine");
   Args.addFlag("plan", "print the equivalence-class pruning plan and "
                        "exit without sweeping");
   Args.addFlag("prune", "run one configuration per provable equivalence "
                         "class and fan scores out to the class");
   Args.addFlag("json", "with --plan, emit the plan as JSON");
-  Args.addOption("engine",
-                 "execution engine: 'shared' (one trace pass per "
-                 "window-kernel shape, the default) or 'per-config' "
-                 "(one pass per run; the differential oracle)",
-                 "shared");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 1;
 
@@ -109,18 +103,6 @@ int main(int Argc, char **Argv) {
   RunOptions.ScoreAnchored = Anchored;
   RunOptions.CollectStats = Args.getFlag("stats");
   RunOptions.Prune = Args.getFlag("prune");
-  std::string Engine = Args.getOption("engine");
-  if (Engine == "shared") {
-    RunOptions.SharedScan = true;
-  } else if (Engine == "per-config") {
-    RunOptions.SharedScan = false;
-  } else {
-    std::fprintf(stderr,
-                 "sweep_tool: unknown --engine '%s' (expected 'shared' "
-                 "or 'per-config')\n",
-                 Engine.c_str());
-    return 1;
-  }
 
   std::printf("workload,mpl,model,policy,cw,tw,skip,anchor,resize,"
               "analyzer,param,correlation,sensitivity,falsePositives,"

@@ -56,21 +56,7 @@ DetectorRun runObserved(OnlineDetector &Detector, const BranchTrace &Trace,
   Observer->onRunEnd(Elements.size());
   Detector.setObserver(nullptr);
 
-  Run.DetectedPhases = Run.States.phases();
-  assert(AnchoredStarts.size() == Run.DetectedPhases.size() &&
-         "one anchored start per detected phase");
-
-  // Build the anchor-corrected phases: each start is pulled back to the
-  // anchor estimate, clamped so the list stays sorted and disjoint.
-  Run.AnchoredPhases.reserve(Run.DetectedPhases.size());
-  uint64_t PrevEnd = 0;
-  for (size_t I = 0; I != Run.DetectedPhases.size(); ++I) {
-    PhaseInterval P = Run.DetectedPhases[I];
-    uint64_t Anchor = I < AnchoredStarts.size() ? AnchoredStarts[I] : P.Begin;
-    P.Begin = std::clamp(Anchor, PrevEnd, P.Begin);
-    Run.AnchoredPhases.push_back(P);
-    PrevEnd = P.End;
-  }
+  finalizeAnchoredPhases(Run, AnchoredStarts);
   return Run;
 }
 

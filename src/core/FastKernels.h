@@ -19,7 +19,7 @@
 /// window fanning results out to many analyzer cursors — without
 /// duplicating a single line of kernel arithmetic. Everything here is
 /// an internal implementation detail of the two engines: the supported
-/// entry points remain makeFastDetector() and runSharedScanGroup().
+/// entry points remain makeFastDetector() and makeSharedScanEngine().
 ///
 /// Bit-identity contract: any behavioral change to the reference
 /// detector must be replicated here — FastDetectorTest and

@@ -44,10 +44,11 @@
 /// countdown per stride bucket), so the shared window advances through
 /// the trace in tight eval-to-eval bursts.
 ///
-/// The per-config FastPhaseDetector path remains the differential
-/// oracle: tests/SharedScanTest.cpp drives the full sweep grid through
-/// both and requires bit-identical StateSequences, phases, and
-/// anchored phases.
+/// This engine is the sweep harness's only engine for unobserved runs
+/// (harness/Sweep.h). tests/SharedScanTest.cpp drives the full sweep
+/// grid through it, the per-config FastPhaseDetector and the reference
+/// PhaseDetector, and requires bit-identical StateSequences, phases,
+/// and anchored phases.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,9 +117,9 @@ struct SharedScanPlan {
 /// so the plan is deterministic for a given config list.
 SharedScanPlan planSharedScan(const std::vector<DetectorConfig> &Configs);
 
-/// A reusable shared-scan engine for one similarity model. Like the
-/// sweep's RunArena detectors, an engine is acquired per worker and
-/// reconfigured per group: cursor arrays, shard pools, and kernel
+/// A reusable shared-scan engine for one similarity model. The sweep
+/// harness keeps one engine per model in each worker's arena and reuses
+/// it for every group that worker claims: cursor arrays, shard pools, and kernel
 /// count arrays all survive between run() calls, so a sweep performs a
 /// handful of allocations per worker rather than one per group.
 ///

@@ -9,7 +9,6 @@
 
 #include "analysis/ConfigAnalysis.h"
 #include "core/DetectorRunner.h"
-#include "core/FastDetector.h"
 #include "core/SharedScan.h"
 #include "support/Format.h"
 #include "support/Parallel.h"
@@ -46,54 +45,8 @@ public:
   }
 };
 
-/// Per-worker scratch state reused across the runs one worker executes:
-/// the monomorphic fast detectors (one per shape, reconfigure()d between
-/// runs so the kernels' per-site count arrays survive) and the
-/// DetectorRun output storage. A 5,880-run sweep thus performs a handful
-/// of kernel allocations per worker instead of one per run.
-class RunArena {
-  SiteIndex NumSites = 0;
-  std::array<std::unique_ptr<FastDetectorBase>, NumFastShapes> Shapes;
-
-public:
-  /// The reused run output.
-  DetectorRun Run;
-
-  /// The fast detector for \p Config, reconfigured and ready to run.
-  OnlineDetector &acquire(const DetectorConfig &Config, SiteIndex Sites) {
-    if (Sites != NumSites) {
-      for (std::unique_ptr<FastDetectorBase> &S : Shapes)
-        S.reset();
-      NumSites = Sites;
-    }
-    std::unique_ptr<FastDetectorBase> &Slot = Shapes[fastShapeIndex(Config)];
-    if (Slot)
-      Slot->reconfigure(Config);
-    else
-      Slot = makeFastDetector(Config, Sites);
-    return *Slot;
-  }
-};
-
-/// Longest-processing-time-first comparator: run the expensive configs
-/// first so a straggler claimed late cannot stretch the sweep's tail.
-/// Cost is dominated by the evaluation count (inverse skip factor), then
-/// by the adaptive policy's recompute-per-evaluation, then window span.
-bool costlierConfig(const DetectorConfig &A, const DetectorConfig &B) {
-  const WindowConfig &WA = A.Window;
-  const WindowConfig &WB = B.Window;
-  if (WA.SkipFactor != WB.SkipFactor)
-    return WA.SkipFactor < WB.SkipFactor;
-  bool AdaptiveA = WA.TWPolicy == TWPolicyKind::Adaptive;
-  bool AdaptiveB = WB.TWPolicy == TWPolicyKind::Adaptive;
-  if (AdaptiveA != AdaptiveB)
-    return AdaptiveA;
-  return static_cast<uint64_t>(WA.CWSize) + WA.TWSize >
-         static_cast<uint64_t>(WB.CWSize) + WB.TWSize;
-}
-
 /// Scores \p Run into \p R against every baseline, exactly once per
-/// execution path so both engines score identically.
+/// execution path so both paths score identically.
 void scoreRun(const DetectorRun &Run,
               const std::vector<BaselineSolution> &Baselines,
               const SweepOptions &Options, RunScores &R) {
@@ -110,7 +63,7 @@ void scoreRun(const DetectorRun &Run,
 
 /// Shared-scan execution (core/SharedScan.h): the runs at \p Indices
 /// are grouped by window-kernel shape and each group rides a single
-/// trace pass. LPT scheduling moves from configs to groups — a group's
+/// trace pass. Groups run longest-processing-time-first — a group's
 /// cost is one shared window advance plus each member's evaluation rate
 /// (inverse skip) and, for adaptive members, their in-phase shard
 /// advances — and per-worker arenas hold one engine per model (cursor
@@ -179,81 +132,50 @@ void runConfigsShared(const BranchTrace &Trace,
       /*Grain=*/1);
 }
 
-/// Executes the detector runs for the configurations at \p Indices,
-/// writing each result into Results[Indices[I]].
-///
-/// The plain path runs the monomorphic fast detectors out of per-worker
-/// arenas; with CollectStats it instantiates the reference PhaseDetector
-/// instead, which alone emits the internal observer events the counters
-/// are built from. Both produce bit-identical scores.
-void runConfigsPerConfig(const BranchTrace &Trace,
-                         const std::vector<BaselineSolution> &Baselines,
-                         const std::vector<DetectorConfig> &Configs,
-                         const std::vector<size_t> &Indices,
-                         const SweepOptions &Options, SweepAccumulator &Acc,
-                         std::vector<RunScores> &Results) {
-  // Dynamic scheduling in LPT order: workers claim runs expensive-first
-  // off the shared counter, so the final runs in flight are the cheap
-  // ones and the workers finish together.
-  std::vector<size_t> Order(Indices.size());
-  std::iota(Order.begin(), Order.end(), size_t{0});
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return costlierConfig(Configs[Indices[A]], Configs[Indices[B]]);
+/// The CollectStats path: runs the configurations at \p Indices on the
+/// reference PhaseDetector, which alone emits the internal observer
+/// events the counters are built from, and times each run's stages.
+/// Scores are bit-identical to the shared-scan engine's.
+void runConfigsObserved(const BranchTrace &Trace,
+                        const std::vector<BaselineSolution> &Baselines,
+                        const std::vector<DetectorConfig> &Configs,
+                        const std::vector<size_t> &Indices,
+                        const SweepOptions &Options, SweepAccumulator &Acc,
+                        std::vector<RunScores> &Results) {
+  parallelFor(Indices.size(), [&](size_t N) {
+    size_t I = Indices[N];
+    RunScores &R = Results[I];
+    R.Config = Configs[I];
+    CountingObserver Stats;
+    Stopwatch Timer;
+    std::unique_ptr<PhaseDetector> Detector =
+        makeDetector(R.Config, Trace.numSites());
+    DetectorRun Run = runDetector(*Detector, Trace, &Stats);
+    R.DetectSeconds = Timer.seconds();
+    R.Counters = Stats.counters();
+    Timer.restart();
+    scoreRun(Run, Baselines, Options, R);
+    R.ScoreSeconds = Timer.seconds();
+    Acc.addRun(R.DetectSeconds, R.ScoreSeconds);
   });
-
-  std::vector<RunArena> Arenas(hardwareParallelism());
-
-  parallelFor(
-      Order.size(),
-      [&](size_t N, unsigned Worker) {
-        size_t I = Indices[Order[N]];
-        const DetectorConfig &Config = Configs[I];
-        RunArena &Arena = Arenas[Worker];
-
-        RunScores &R = Results[I];
-        R.Config = Config;
-        CountingObserver Stats;
-        Stopwatch Timer;
-        const DetectorRun *Run;
-        DetectorRun ObservedRun;
-        if (Options.CollectStats) {
-          std::unique_ptr<PhaseDetector> Detector =
-              makeDetector(Config, Trace.numSites());
-          ObservedRun = runDetector(*Detector, Trace, &Stats);
-          Run = &ObservedRun;
-          R.DetectSeconds = Timer.seconds();
-          R.Counters = Stats.counters();
-          Timer.restart();
-        } else {
-          OnlineDetector &Detector = Arena.acquire(Config, Trace.numSites());
-          runDetector(Detector, Trace, Arena.Run);
-          Run = &Arena.Run;
-        }
-
-        scoreRun(*Run, Baselines, Options, R);
-        if (Options.CollectStats)
-          R.ScoreSeconds = Timer.seconds();
-        Acc.addRun(R.DetectSeconds, R.ScoreSeconds);
-      },
-      /*Grain=*/1);
 }
 
-/// Dispatches the runs at \p Indices to the shared-scan engine (the
-/// default execution plan) or the per-config path (the differential
-/// oracle, and the only path that can carry observers for
-/// CollectStats). Both produce bit-identical scores.
+/// Executes the detector runs for the configurations at \p Indices,
+/// writing each result into Results[Indices[I]]: through the observed
+/// reference path under CollectStats, through the shared-scan engine
+/// otherwise.
 void runConfigs(const BranchTrace &Trace,
                 const std::vector<BaselineSolution> &Baselines,
                 const std::vector<DetectorConfig> &Configs,
                 const std::vector<size_t> &Indices,
                 const SweepOptions &Options, SweepAccumulator &Acc,
                 std::vector<RunScores> &Results) {
-  if (Options.SharedScan && !Options.CollectStats)
+  if (Options.CollectStats)
+    runConfigsObserved(Trace, Baselines, Configs, Indices, Options, Acc,
+                       Results);
+  else
     runConfigsShared(Trace, Baselines, Configs, Indices, Options, Acc,
                      Results);
-  else
-    runConfigsPerConfig(Trace, Baselines, Configs, Indices, Options, Acc,
-                        Results);
 }
 
 } // namespace

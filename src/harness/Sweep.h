@@ -51,8 +51,11 @@ struct RunScores {
 struct SweepOptions {
   bool ScoreAnchored = false;
   /// Attach a CountingObserver to every run and record per-stage wall
-  /// times into RunScores. Off by default: the unobserved hot path is
-  /// what the benches measure.
+  /// times into RunScores. This runs every configuration on the
+  /// reference PhaseDetector, the only detector that emits observer
+  /// events, instead of the shared-scan engine, so a sweep takes several
+  /// times longer (the pruned jess paper sweep: 37.6 s against 7.7 s on
+  /// a 4-core host). Scores are bit-identical either way.
   bool CollectStats = false;
   /// Partition the configurations into provable equivalence classes
   /// (analysis/ConfigAnalysis.h) and run only one representative per
@@ -62,15 +65,6 @@ struct SweepOptions {
   /// anchored scoring is on (ScoreAnchored), so anchor-affecting fields
   /// are only merged when the anchored output is not being observed.
   bool Prune = false;
-  /// Execute the runs through the shared-scan engine
-  /// (core/SharedScan.h): configs are grouped by window-kernel shape
-  /// and each group rides a single trace pass, with per-config state
-  /// reduced to an analyzer cursor (plus a detached window shard while
-  /// an adaptive config is in phase). Output is bit-identical to the
-  /// per-config path — SharedScan=false keeps that path as the
-  /// differential oracle. Ignored under CollectStats, whose observer
-  /// events only the reference detector emits.
-  bool SharedScan = true;
 };
 
 /// Work accounting of one runSweep() call.
@@ -88,10 +82,14 @@ struct SweepStats {
 };
 
 /// Runs every configuration over \p Trace once and scores it against
-/// every baseline. Parallel across configurations. \p Configs must be
-/// non-empty: an empty sweep is always a spec bug (an empty dimension
-/// vector annihilates the cross product), so it aborts with a message
-/// pointing at config_check rather than silently returning no results.
+/// every baseline. The runs go through the shared-scan engine
+/// (core/SharedScan.h): configurations are grouped by window-kernel
+/// shape, each group rides a single trace pass, and the groups run in
+/// parallel. CollectStats runs are the one exception (see
+/// SweepOptions). \p Configs must be non-empty: an empty sweep is always
+/// a spec bug (an empty dimension vector annihilates the cross product),
+/// so it aborts with a message pointing at config_check rather than
+/// silently returning no results.
 /// \p Stats, when given, receives the work accounting of this call.
 std::vector<RunScores> runSweep(const BranchTrace &Trace,
                                 const std::vector<BaselineSolution> &Baselines,

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sweep harness reuses monomorphic fast detectors through per-worker
-/// RunArenas, reconfigure()ing one instance per shape across thousands of
-/// sequential runs. Serving needs the same reconfigure-don't-reallocate
-/// economics with a different lifetime: sessions hold their detector for
-/// as long as the client streams, and detectors return to the pool when
-/// sessions close. DetectorCache is that pool — free lists per
+/// FastDetectorBase::reconfigure() lets one monomorphic fast detector per
+/// shape serve many sequential runs without reallocating its kernel
+/// arrays. Serving uses that with a session lifetime: sessions hold
+/// their detector for as long as the client streams, and detectors
+/// return to the pool when sessions close. DetectorCache is that pool —
+/// free lists per
 /// (fastShapeIndex, numSites), so a server handling a homogeneous fleet
 /// of sessions (the common multi-tenant case: many clients streaming the
 /// same workload family) allocates kernel count arrays only for the

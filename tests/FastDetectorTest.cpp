@@ -12,18 +12,17 @@
 /// trace through both paths across the whole configuration shape space —
 /// every model, TW policy, analyzer kind, anchor, resize, and the skip-
 /// factor/window-size corner cases — and requires equal StateSequences,
-/// detected phases, and anchored phases, run by run. It also holds the
-/// sweep harness's two paths (fast arenas vs reference stats collection)
-/// to equal scores, arena reuse via reconfigure() to fresh-detector
-/// output, and the anchor scans to the reference at both ends of the TW.
+/// detected phases, and anchored phases, run by run. It also holds
+/// reuse via reconfigure() to fresh-detector output, and the anchor
+/// scans to the reference at both ends of the TW.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DetectorObserver.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
+#include "core/SweepSpec.h"
 #include "harness/Experiment.h"
-#include "harness/Sweep.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -206,54 +205,6 @@ TEST(FastDetectorTest, ReconfiguredArenaMatchesFreshDetectors) {
     runDetector(*Slot, B.Trace, ArenaRun);
     DetectorRun FreshRun = runDetector(*Fresh, B.Trace);
     expectRunsEqual(FreshRun, ArenaRun, Config);
-  }
-}
-
-// The sweep's two paths — fast detectors out of per-worker arenas
-// (plain) and the reference detector with a CountingObserver
-// (CollectStats) — must score identically, pruned or not.
-TEST(FastDetectorTest, SweepFastPathMatchesReferenceStatsPath) {
-  const BenchmarkData &B = testBenchmark();
-  SweepSpec Spec;
-  Spec.CWSizes = {250};
-  Spec.SkipFactors = {1, 10};
-  Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet};
-  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.6},
-                    {AnalyzerKind::Average, 0.05}};
-  Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
-  Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
-
-  for (bool Prune : {false, true}) {
-    SweepOptions FastOptions;
-    FastOptions.ScoreAnchored = true;
-    FastOptions.Prune = Prune;
-    SweepOptions StatsOptions = FastOptions;
-    StatsOptions.CollectStats = true;
-
-    std::vector<RunScores> Fast =
-        runSweep(B.Trace, B.Baselines, Configs, FastOptions);
-    std::vector<RunScores> Reference =
-        runSweep(B.Trace, B.Baselines, Configs, StatsOptions);
-
-    ASSERT_EQ(Fast.size(), Reference.size());
-    for (size_t I = 0; I != Fast.size(); ++I) {
-      ASSERT_EQ(Fast[I].PerMPL.size(), Reference[I].PerMPL.size());
-      for (size_t M = 0; M != Fast[I].PerMPL.size(); ++M) {
-        EXPECT_EQ(Fast[I].PerMPL[M].Score, Reference[I].PerMPL[M].Score);
-        EXPECT_EQ(Fast[I].PerMPL[M].Correlation,
-                  Reference[I].PerMPL[M].Correlation);
-        EXPECT_EQ(Fast[I].PerMPL[M].Sensitivity,
-                  Reference[I].PerMPL[M].Sensitivity);
-        EXPECT_EQ(Fast[I].PerMPL[M].FalsePositives,
-                  Reference[I].PerMPL[M].FalsePositives);
-      }
-      ASSERT_EQ(Fast[I].AnchoredPerMPL.size(),
-                Reference[I].AnchoredPerMPL.size());
-      for (size_t M = 0; M != Fast[I].AnchoredPerMPL.size(); ++M)
-        EXPECT_EQ(Fast[I].AnchoredPerMPL[M].Score,
-                  Reference[I].AnchoredPerMPL[M].Score);
-    }
   }
 }
 

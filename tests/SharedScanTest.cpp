@@ -12,17 +12,20 @@
 /// shape grid through the engine and requires equal StateSequences,
 /// detected phases, and anchored phases against both the per-config
 /// fast path and the reference PhaseDetector; it holds the sweep
-/// harness's shared and per-config engines to bit-identical scores
-/// (pruned and unpruned); and it pins the paper preset's group
-/// structure so plan regressions are loud.
+/// harness's default engine to the reference stats path's scores
+/// (pruned and unpruned) and the stats path's counters to direct
+/// observed runs; and it pins the paper preset's group structure so
+/// plan regressions are loud.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/DetectorConfig.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "core/SharedScan.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
+#include "obs/RunTrace.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -120,6 +123,19 @@ BranchTrace makeDisjointBlockTrace() {
       Trace.appendIndex(static_cast<SiteIndex>((Block % 3) * Vocab +
                                                Rng.nextBelow(Vocab)));
   return Trace;
+}
+
+/// Every field of two scores, boundary counts included.
+void expectScoresEqual(const AccuracyScore &A, const AccuracyScore &B,
+                       const DetectorConfig &Config) {
+  SCOPED_TRACE(Config.describe());
+  EXPECT_EQ(A.Correlation, B.Correlation);
+  EXPECT_EQ(A.Sensitivity, B.Sensitivity);
+  EXPECT_EQ(A.FalsePositives, B.FalsePositives);
+  EXPECT_EQ(A.Score, B.Score);
+  EXPECT_EQ(A.MatchedBoundaries, B.MatchedBoundaries);
+  EXPECT_EQ(A.BaselineBoundaries, B.BaselineBoundaries);
+  EXPECT_EQ(A.DetectedBoundaries, B.DetectedBoundaries);
 }
 
 } // namespace
@@ -231,9 +247,10 @@ TEST(SharedScanTest, StrideAndWindowCornerCases) {
   }
 }
 
-// The sweep harness's two engines — shared-scan (default) and
-// per-config — must produce bit-identical scores, pruned or not.
-TEST(SharedScanTest, SweepSharedEngineMatchesPerConfigScores) {
+// The sweep's two paths — the default shared-scan engine and the
+// reference detector with a CountingObserver (CollectStats) — must
+// score identically, plain and anchored, pruned or not.
+TEST(SharedScanTest, SweepDefaultEngineMatchesReferenceStatsPath) {
   const BenchmarkData &B = testBenchmark();
   SweepSpec Spec;
   Spec.CWSizes = {250};
@@ -247,41 +264,77 @@ TEST(SharedScanTest, SweepSharedEngineMatchesPerConfigScores) {
   std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
 
   for (bool Prune : {false, true}) {
-    SweepOptions SharedOptions;
-    SharedOptions.ScoreAnchored = true;
-    SharedOptions.Prune = Prune;
-    SharedOptions.SharedScan = true;
-    SweepOptions PerConfigOptions = SharedOptions;
-    PerConfigOptions.SharedScan = false;
+    SweepOptions DefaultOptions;
+    DefaultOptions.ScoreAnchored = true;
+    DefaultOptions.Prune = Prune;
+    SweepOptions StatsOptions = DefaultOptions;
+    StatsOptions.CollectStats = true;
 
-    SweepStats SharedStats;
-    std::vector<RunScores> Shared =
-        runSweep(B.Trace, B.Baselines, Configs, SharedOptions, &SharedStats);
-    std::vector<RunScores> PerConfig =
-        runSweep(B.Trace, B.Baselines, Configs, PerConfigOptions);
+    SweepStats DefaultStats;
+    std::vector<RunScores> Default = runSweep(
+        B.Trace, B.Baselines, Configs, DefaultOptions, &DefaultStats);
+    std::vector<RunScores> Reference =
+        runSweep(B.Trace, B.Baselines, Configs, StatsOptions);
 
-    EXPECT_EQ(SharedStats.NumConfigs, Configs.size());
-    EXPECT_EQ(SharedStats.RunsExecuted + SharedStats.RunsPruned,
+    EXPECT_EQ(DefaultStats.NumConfigs, Configs.size());
+    EXPECT_EQ(DefaultStats.RunsExecuted + DefaultStats.RunsPruned,
               Configs.size());
 
-    ASSERT_EQ(Shared.size(), PerConfig.size());
-    for (size_t I = 0; I != Shared.size(); ++I) {
-      ASSERT_EQ(Shared[I].PerMPL.size(), PerConfig[I].PerMPL.size());
-      for (size_t M = 0; M != Shared[I].PerMPL.size(); ++M) {
-        EXPECT_EQ(Shared[I].PerMPL[M].Score, PerConfig[I].PerMPL[M].Score);
-        EXPECT_EQ(Shared[I].PerMPL[M].Correlation,
-                  PerConfig[I].PerMPL[M].Correlation);
-        EXPECT_EQ(Shared[I].PerMPL[M].Sensitivity,
-                  PerConfig[I].PerMPL[M].Sensitivity);
-        EXPECT_EQ(Shared[I].PerMPL[M].FalsePositives,
-                  PerConfig[I].PerMPL[M].FalsePositives);
-      }
-      ASSERT_EQ(Shared[I].AnchoredPerMPL.size(),
-                PerConfig[I].AnchoredPerMPL.size());
-      for (size_t M = 0; M != Shared[I].AnchoredPerMPL.size(); ++M)
-        EXPECT_EQ(Shared[I].AnchoredPerMPL[M].Score,
-                  PerConfig[I].AnchoredPerMPL[M].Score);
+    ASSERT_EQ(Default.size(), Reference.size());
+    for (size_t I = 0; I != Default.size(); ++I) {
+      ASSERT_EQ(Default[I].PerMPL.size(), Reference[I].PerMPL.size());
+      for (size_t M = 0; M != Default[I].PerMPL.size(); ++M)
+        expectScoresEqual(Default[I].PerMPL[M], Reference[I].PerMPL[M],
+                          Configs[I]);
+      ASSERT_EQ(Default[I].AnchoredPerMPL.size(),
+                Reference[I].AnchoredPerMPL.size());
+      for (size_t M = 0; M != Default[I].AnchoredPerMPL.size(); ++M)
+        expectScoresEqual(Default[I].AnchoredPerMPL[M],
+                          Reference[I].AnchoredPerMPL[M], Configs[I]);
     }
+  }
+}
+
+// The CollectStats path runs every configuration on the reference
+// detector with a CountingObserver: each run's counters must equal a
+// direct observed run of that configuration and its stage times must be
+// recorded, while the default path leaves counters and times empty.
+TEST(SharedScanTest, SweepStatsPathCountersMatchDirectObservedRuns) {
+  const BenchmarkData &B = testBenchmark();
+  SweepSpec Spec;
+  Spec.CWSizes = {250};
+  Spec.SkipFactors = {1, 10};
+  Spec.Models = {ModelKind::UnweightedSet, ModelKind::ManhattanBBV};
+  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.6},
+                    {AnalyzerKind::Hysteresis, 0.4}};
+  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+
+  SweepOptions StatsOptions;
+  StatsOptions.CollectStats = true;
+  SweepStats Stats;
+  std::vector<RunScores> Observed =
+      runSweep(B.Trace, B.Baselines, Configs, StatsOptions, &Stats);
+  std::vector<RunScores> Default = runSweep(B.Trace, B.Baselines, Configs);
+
+  EXPECT_EQ(Stats.RunsExecuted, Configs.size());
+  EXPECT_GT(Stats.DetectSeconds, 0.0);
+  EXPECT_GT(Stats.ScoreSeconds, 0.0);
+
+  ASSERT_EQ(Observed.size(), Configs.size());
+  ASSERT_EQ(Default.size(), Configs.size());
+  for (size_t I = 0; I != Configs.size(); ++I) {
+    SCOPED_TRACE(Configs[I].describe());
+    CountingObserver Direct;
+    std::unique_ptr<PhaseDetector> Detector =
+        makeDetector(Configs[I], B.Trace.numSites());
+    runDetector(*Detector, B.Trace, &Direct);
+    EXPECT_TRUE(Observed[I].Counters == Direct.counters());
+    EXPECT_EQ(Observed[I].Counters.Elements, B.Trace.size());
+    EXPECT_GT(Observed[I].DetectSeconds, 0.0);
+
+    EXPECT_TRUE(Default[I].Counters == RunCounters{});
+    EXPECT_EQ(Default[I].DetectSeconds, 0.0);
+    EXPECT_EQ(Default[I].ScoreSeconds, 0.0);
   }
 }
 
