@@ -15,7 +15,9 @@
 #   tidy:         clang-tidy over src/ when it is on PATH (skips otherwise)
 #   clang:        a clang++ configuration so -Wthread-safety verifies the
 #                 locking annotations (skips when clang++ is absent)
-#   asan-ubsan:   full ctest under Address + UndefinedBehaviorSanitizer
+#   asan-ubsan:   full ctest under Address + UndefinedBehaviorSanitizer,
+#                 with -D_GLIBCXX_ASSERTIONS so libstdc++ precondition
+#                 checks (std::clamp bounds, vector indexing) abort too
 #   ubsan-int:    the kernel/detector/batch arithmetic suites under
 #                 clang's -fsanitize=undefined,integer (gcc fallback:
 #                 undefined only) — the gain/loss kernel deltas and the
@@ -23,7 +25,8 @@
 #                 certificates at runtime, not just in the KernelBounds
 #                 abstract interpretation; the min-sum's scalar loop is
 #                 sanitized through BatchKernelTest's >= 2^32 totals
-#   serve-smoke:  a real opd_serve daemon under ASan/UBSan takes a few
+#   serve-smoke:  a real opd_serve daemon under ASan/UBSan (the
+#                 asan-ubsan tree, libstdc++ assertions included) takes a few
 #                 hundred opd_loadgen --verify sessions, then drains
 #                 cleanly on SIGTERM
 #   tsan:         ThreadSanitizer over the concurrency-exercising tests,
@@ -151,8 +154,14 @@ stage_clang() {
   run_ctest clang
 }
 
+# The asan-ubsan tree, shared by the asan-ubsan and serve-smoke stages.
+configure_build_asan_ubsan() {
+  configure_build asan-ubsan -DOPD_SANITIZE="address;undefined" \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
+}
+
 stage_asan_ubsan() {
-  configure_build asan-ubsan -DOPD_SANITIZE="address;undefined"
+  configure_build_asan_ubsan
   run_ctest asan-ubsan
 }
 
@@ -179,7 +188,7 @@ stage_serve_smoke() {
   # and compared against offline runDetector), then drains cleanly on
   # SIGTERM. Any sanitizer report, session failure, equivalence mismatch,
   # or unclean shutdown fails CI.
-  configure_build asan-ubsan -DOPD_SANITIZE="address;undefined"
+  configure_build_asan_ubsan
   local dir="${PREFIX}-asan-ubsan"
   start_opd_serve "$dir/examples/opd_serve" "$dir/serve_smoke.log"
   "$dir/examples/opd_loadgen" --port "$SERVE_PORT" \

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The opt-in observability interface of the detection pipeline. An
-/// attached DetectorObserver receives a callback for every internal
+/// The opt-in observability interface of the detection pipeline. A
+/// DetectorObserver passed to a run receives a callback for every internal
 /// decision a detector run makes: similarity evaluations with the
 /// analyzer's verdict, anchor computations, trailing-window resizes and
 /// flushes, and phase open/close transitions. The paper's evaluation
@@ -18,9 +18,10 @@
 /// Callbacks are emitted from two levels:
 ///
 ///  * PhaseDetector emits the model/analyzer events (onEvaluation,
-///    onAnchor, onWindowResize, onWindowFlush) as it processes batches;
+///    onAnchor, onWindowResize, onWindowFlush) to the observer passed to
+///    each processBatchObserved() call;
 ///  * runDetector() emits the stream events (onRunBegin, onPhaseBegin,
-///    onPhaseEnd, onRunEnd) at exact element offsets, so the observed
+///    onPhaseEnd, onRunEnd) at the PhaseEdges offsets, so the observed
 ///    phase intervals match DetectorRun::DetectedPhases by construction.
 ///
 /// The documented event order per batch is: onEvaluation first, then on a
@@ -30,11 +31,11 @@
 /// docs/OBSERVABILITY.md specifies it.
 ///
 /// All callbacks default to no-ops. Observation is zero-cost when no
-/// observer is attached: runDetector() selects between an instrumented
-/// and an uninstrumented instantiation of the streaming loop (and of
-/// PhaseDetector::processBatch) once per run, so the unobserved hot
+/// observer is passed: runDetector() then runs the detector's
+/// consumeTrace() loop, and PhaseDetector::processBatch is the
+/// uninstrumented instantiation of the batch body, so the unobserved hot
 /// path compiles to the same code as an observer-free build
-/// (BenchPerf's BM_DetectorObserved measures the attached cost).
+/// (BenchPerf's BM_DetectorObserved measures the observed cost).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +51,7 @@ namespace opd {
 
 /// Introspection hooks for one detector run. Offsets are global element
 /// offsets into the profile-element stream. Observers must not mutate the
-/// detector; a run with an observer attached produces output identical to
-/// an unobserved run.
+/// detector; an observed run's output is identical to an unobserved one's.
 class DetectorObserver {
 public:
   virtual ~DetectorObserver();

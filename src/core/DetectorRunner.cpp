@@ -59,3 +59,39 @@ void opd::finalizeAnchoredPhases(DetectorRun &Run,
     PrevEnd = P.End;
   }
 }
+
+DetectorRun opd::runDetector(OnlineDetector &Detector,
+                             const BranchTrace &Trace,
+                             DetectorObserver *Observer) {
+  if (!Observer)
+    return runDetector(Detector, Trace);
+  Detector.reset();
+  DetectorRun Run;
+  const std::vector<SiteIndex> &Elements = Trace.elements();
+  size_t Batch = Detector.batchSize();
+  assert(Batch > 0 && "batch size must be positive");
+  Observer->onRunBegin(Elements.size(), Batch);
+
+  PhaseEdges Edges;
+  std::vector<uint64_t> AnchoredStarts;
+  for (uint64_t Offset = 0; Offset < Elements.size(); Offset += Batch) {
+    size_t N = std::min<size_t>(Batch, Elements.size() - Offset);
+    PhaseState S =
+        Detector.processBatchObserved(&Elements[Offset], N, *Observer);
+    // One state per input element (the batch shares its state).
+    Run.States.append(S, N);
+    PhaseEdges::Edge E = Edges.step(S, N);
+    if (E == PhaseEdges::Edge::Begin) {
+      AnchoredStarts.push_back(Detector.lastPhaseStartEstimate());
+      Observer->onPhaseBegin(Edges.edgeOffset(), AnchoredStarts.back());
+    } else if (E == PhaseEdges::Edge::End) {
+      Observer->onPhaseEnd(Edges.edgeOffset());
+    }
+  }
+  if (Edges.finish())
+    Observer->onPhaseEnd(Edges.edgeOffset());
+  Observer->onRunEnd(Elements.size());
+
+  finalizeAnchoredPhases(Run, AnchoredStarts);
+  return Run;
+}

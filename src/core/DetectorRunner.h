@@ -10,7 +10,8 @@
 /// skipFactor-sized batches and records the per-element state output plus
 /// the detected phases. It also records, for every detected phase, the
 /// detector's anchor-based estimate of where the phase actually began —
-/// the corrected boundaries Figure 8 scores.
+/// the corrected boundaries Figure 8 scores. PhaseEdges is the one
+/// phase-edge rule behind every producer of phase events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +59,17 @@ DetectorRun runDetector(OnlineDetector &Detector, const BranchTrace &Trace);
 void runDetector(OnlineDetector &Detector, const BranchTrace &Trace,
                  DetectorRun &Run);
 
+/// As the first overload; when \p Observer is non-null every batch goes
+/// through
+/// processBatchObserved() with it, and it additionally receives the
+/// stream-level events: onRunBegin/onRunEnd and, under PhaseEdges,
+/// onPhaseBegin/onPhaseEnd at exact element offsets, so the observed
+/// phase intervals equal DetectorRun::DetectedPhases. An observed run
+/// produces output identical to an unobserved one; a null \p Observer
+/// forwards to the unobserved overload.
+DetectorRun runDetector(OnlineDetector &Detector, const BranchTrace &Trace,
+                        DetectorObserver *Observer);
+
 /// Derives \p Run's phase lists from its populated States: fills
 /// DetectedPhases from the InPhase intervals and builds AnchoredPhases
 /// by pulling each start back to the matching entry of
@@ -68,15 +80,52 @@ void runDetector(OnlineDetector &Detector, const BranchTrace &Trace,
 void finalizeAnchoredPhases(DetectorRun &Run,
                             const std::vector<uint64_t> &AnchoredStarts);
 
-/// As above; when \p Observer is non-null it is attached to the detector
-/// for the duration of the run (detached again before returning) and
-/// additionally receives the stream-level events: onRunBegin/onRunEnd
-/// and onPhaseBegin/onPhaseEnd at exact element offsets, so the observed
-/// phase intervals equal DetectorRun::DetectedPhases. An observed run
-/// produces output identical to an unobserved one; a null \p Observer
-/// forwards to the unobserved overload.
-DetectorRun runDetector(OnlineDetector &Detector, const BranchTrace &Trace,
-                        DetectorObserver *Observer);
+/// The phase-edge rule of the detection client (Figure 3), shared by every
+/// producer of phase events. The stream starts in T at offset 0. A batch
+/// that flips T->P opens a phase at its first offset; the producer reads
+/// the detector's lastPhaseStartEstimate() right after that batch as the
+/// phase's anchor. A batch that flips P->T closes the phase at its first
+/// offset, and finish() closes a phase still open at the stream length.
+class PhaseEdges {
+public:
+  /// What a step did.
+  enum class Edge : uint8_t {
+    None,  ///< No flip.
+    Begin, ///< T->P: a phase opened at edgeOffset().
+    End,   ///< P->T: the open phase closed at edgeOffset().
+  };
+
+  /// Records one batch of \p N elements decided as \p S.
+  Edge step(PhaseState S, uint64_t N) {
+    EdgeAt = Consumed;
+    Consumed += N;
+    if (S == State)
+      return Edge::None;
+    State = S;
+    if (S == PhaseState::Transition)
+      return Edge::End;
+    OpenedAt = EdgeAt;
+    return Edge::Begin;
+  }
+
+  /// Ends the stream; true when a phase was open (it closes at consumed()).
+  bool finish() {
+    EdgeAt = Consumed;
+    bool WasOpen = open();
+    State = PhaseState::Transition;
+    return WasOpen;
+  }
+
+  uint64_t edgeOffset() const { return EdgeAt; } ///< Offset of the last edge.
+  uint64_t phaseBegin() const { return OpenedAt; } ///< Last phase's begin.
+  uint64_t consumed() const { return Consumed; } ///< Elements stepped.
+  PhaseState state() const { return State; } ///< The last step's state.
+  bool open() const { return State == PhaseState::InPhase; } ///< In a phase.
+
+private:
+  PhaseState State = PhaseState::Transition;
+  uint64_t Consumed = 0, EdgeAt = 0, OpenedAt = 0;
+};
 
 } // namespace opd
 

@@ -44,7 +44,8 @@ PhaseDetector::PhaseDetector(const WindowConfig &Window, ModelKind Model,
 
 template <bool Observed>
 PhaseState PhaseDetector::processBatchImpl(const SiteIndex *Elements,
-                                           size_t N) {
+                                           size_t N,
+                                           DetectorObserver *Observer) {
   // Figure 3: the model consumes the new profile elements and updates the
   // windows.
   for (size_t I = 0; I != N; ++I)
@@ -96,13 +97,13 @@ PhaseState PhaseDetector::processBatchImpl(const SiteIndex *Elements,
 }
 
 PhaseState PhaseDetector::processBatch(const SiteIndex *Elements, size_t N) {
-  return processBatchImpl<false>(Elements, N);
+  return processBatchImpl<false>(Elements, N, nullptr);
 }
 
 PhaseState PhaseDetector::processBatchObserved(const SiteIndex *Elements,
-                                               size_t N) {
-  assert(Observer && "observed entry point requires an attached observer");
-  return processBatchImpl<true>(Elements, N);
+                                               size_t N,
+                                               DetectorObserver &Observer) {
+  return processBatchImpl<true>(Elements, N, &Observer);
 }
 
 void PhaseDetector::reset() {

@@ -69,26 +69,16 @@ public:
   /// One-line description for tables.
   virtual std::string describe() const = 0;
 
-  /// processBatch with the attached observer's internal events emitted.
-  /// runDetector() selects this entry point once per run when an
-  /// observer is attached, so the plain processBatch path carries no
-  /// observation code at all. The default forwards to processBatch —
-  /// right for detectors without internal model/analyzer events (the
-  /// related-work detectors; the runner emits the stream-level events
-  /// for them).
+  /// processBatch that also emits the batch's internal events to
+  /// \p Observer, so the plain processBatch carries no observation code.
+  /// The default forwards to processBatch — right for detectors without
+  /// internal model/analyzer events (the related-work detectors).
   virtual PhaseState processBatchObserved(const SiteIndex *Elements,
-                                          size_t N) {
+                                          size_t N,
+                                          DetectorObserver &Observer) {
+    (void)Observer;
     return processBatch(Elements, N);
   }
-
-  /// Attaches an observer (nullptr detaches). The observer outlives the
-  /// run it watches. The default implementation ignores the observer —
-  /// detectors without internal events need no storage; PhaseDetector
-  /// overrides both accessors and emits every event.
-  virtual void setObserver(DetectorObserver *O) { (void)O; }
-
-  /// The attached observer, or nullptr.
-  virtual DetectorObserver *observer() const { return nullptr; }
 };
 
 /// The framework detector of Figure 3.
@@ -104,8 +94,8 @@ public:
   /// Figure 3's processProfile(profileElements).
   PhaseState processBatch(const SiteIndex *Elements, size_t N) override;
 
-  PhaseState processBatchObserved(const SiteIndex *Elements,
-                                  size_t N) override;
+  PhaseState processBatchObserved(const SiteIndex *Elements, size_t N,
+                                  DetectorObserver &Observer) override;
 
   size_t batchSize() const override { return Model.config().SkipFactor; }
 
@@ -114,10 +104,6 @@ public:
   uint64_t lastPhaseStartEstimate() const override { return LastAnchor; }
 
   std::string describe() const override;
-
-  void setObserver(DetectorObserver *O) override { Observer = O; }
-
-  DetectorObserver *observer() const override { return Observer; }
 
   /// Current state (P/T).
   PhaseState state() const { return State; }
@@ -133,19 +119,17 @@ public:
   const WindowedModel &model() const { return Model; }
 
 private:
-  /// Shared body of both entry points; the Observed instantiation emits
-  /// the observer events, the plain one compiles to the event-free
+  /// Shared body of both entry points; only the Observed instantiation
+  /// emits to \p Observer, the plain one compiles to the event-free
   /// pre-observability code (the zero-cost property BenchPerf checks).
   template <bool Observed>
-  PhaseState processBatchImpl(const SiteIndex *Elements, size_t N);
+  PhaseState processBatchImpl(const SiteIndex *Elements, size_t N,
+                              DetectorObserver *Observer);
 
   WindowedModel Model;
   std::unique_ptr<Analyzer> TheAnalyzer;
   PhaseState State = PhaseState::Transition;
   uint64_t LastAnchor = 0;
-  /// Kept last so attaching observability does not shift the layout of
-  /// the hot model/analyzer members relative to an observer-free build.
-  DetectorObserver *Observer = nullptr;
 };
 
 } // namespace opd

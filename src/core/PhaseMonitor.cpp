@@ -28,30 +28,21 @@ void PhaseMonitor::addElements(const SiteIndex *Elements, size_t N) {
 }
 
 void PhaseMonitor::processBatch(const SiteIndex *Elements, size_t N) {
-  PhaseState Before = Detector->state();
-  PhaseState After = Detector->processBatch(Elements, N);
-  Tracker.observe(Elements, N, After);
-  uint64_t BatchStart = Consumed;
-  Consumed += N;
+  PhaseState S = Detector->processBatch(Elements, N);
+  PhaseEdges::Edge E = Tracker.observe(Elements, N, S);
+  if (E == PhaseEdges::Edge::Begin && StartCB)
+    StartCB({Tracker.edges().edgeOffset(), Detector->lastPhaseStartEstimate(),
+             Detector->confidence()});
+  else if (E == PhaseEdges::Edge::End)
+    phaseEnded();
+}
 
-  if (Before == PhaseState::Transition && After == PhaseState::InPhase) {
-    PhaseOpen = true;
-    OpenPhaseStart = BatchStart;
-    if (StartCB)
-      StartCB({BatchStart, Detector->lastPhaseStartEstimate(),
-               Detector->confidence()});
-  } else if (PhaseOpen && Before == PhaseState::InPhase &&
-             After == PhaseState::Transition) {
-    PhaseOpen = false;
-    PhaseLengths.push(static_cast<double>(BatchStart - OpenPhaseStart));
-    if (EndCB) {
-      assert(!Tracker.completedPhases().empty() &&
-             "tracker must have closed the phase");
-      const RecurringPhaseTracker::CompletedPhase &P =
-          Tracker.completedPhases().back();
-      EndCB({OpenPhaseStart, BatchStart, P.Id, P.Recurrence});
-    }
-  }
+void PhaseMonitor::phaseEnded() {
+  const RecurringPhaseTracker::CompletedPhase &P =
+      Tracker.completedPhases().back();
+  PhaseLengths.push(static_cast<double>(P.Interval.length()));
+  if (EndCB)
+    EndCB({P.Interval.Begin, P.Interval.End, P.Id, P.Recurrence});
 }
 
 void PhaseMonitor::finish() {
@@ -59,15 +50,6 @@ void PhaseMonitor::finish() {
     processBatch(Pending.data(), Pending.size());
     Pending.clear();
   }
-  if (!PhaseOpen)
-    return;
-  Tracker.finish();
-  PhaseOpen = false;
-  PhaseLengths.push(static_cast<double>(Consumed - OpenPhaseStart));
-  if (EndCB) {
-    assert(!Tracker.completedPhases().empty());
-    const RecurringPhaseTracker::CompletedPhase &P =
-        Tracker.completedPhases().back();
-    EndCB({OpenPhaseStart, Consumed, P.Id, P.Recurrence});
-  }
+  if (Tracker.finish())
+    phaseEnded();
 }

@@ -13,7 +13,9 @@
 /// recurring-phase tracker) and the detector's anchored start estimate.
 /// `examples/adaptive_jit` shows the polling style; this wraps the same
 /// machinery behind an event API and keeps running statistics a client
-/// can consult when sizing its optimizations.
+/// can consult when sizing its optimizations. Phases begin and end where
+/// the tracker's PhaseEdges (core/DetectorRunner.h) puts them: at the
+/// offsets of DetectorRun::DetectedPhases.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +78,7 @@ public:
   PhaseState state() const { return Detector->state(); }
 
   /// Elements consumed so far.
-  uint64_t consumed() const { return Consumed; }
+  uint64_t consumed() const { return Tracker.edges().consumed(); }
 
   /// Completed-phase length statistics (elements).
   const RunningStats &phaseLengths() const { return PhaseLengths; }
@@ -89,14 +91,14 @@ public:
 private:
   void processBatch(const SiteIndex *Elements, size_t N);
 
+  /// Reports the phase the tracker just closed.
+  void phaseEnded();
+
   std::unique_ptr<PhaseDetector> Detector;
   RecurringPhaseTracker Tracker;
   StartCallback StartCB;
   EndCallback EndCB;
   std::vector<SiteIndex> Pending; ///< partial batch buffer
-  uint64_t Consumed = 0;
-  uint64_t OpenPhaseStart = 0;
-  bool PhaseOpen = false;
   RunningStats PhaseLengths;
 };
 

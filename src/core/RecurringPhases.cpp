@@ -44,39 +44,35 @@ PhaseLibrary::classify(const PhaseSignature &Sig) {
           /*Recurrence=*/false, 0.0};
 }
 
-void RecurringPhaseTracker::observe(const SiteIndex *Elements, size_t N,
-                                    PhaseState State) {
-  if (State == PhaseState::InPhase) {
-    if (!PhaseOpen) {
-      PhaseOpen = true;
-      PhaseBegin = Consumed;
-      OpenSignature.clear();
-    }
+PhaseEdges::Edge RecurringPhaseTracker::observe(const SiteIndex *Elements,
+                                                size_t N, PhaseState State) {
+  PhaseEdges::Edge E = Edges.step(State, N);
+  if (E == PhaseEdges::Edge::Begin)
+    OpenSignature.clear();
+  else if (E == PhaseEdges::Edge::End)
+    closePhase();
+  if (Edges.open())
     for (size_t I = 0; I != N; ++I)
       OpenSignature.addElement(Elements[I]);
-  } else if (PhaseOpen) {
-    closePhase(Consumed);
-  }
-  Consumed += N;
+  return E;
 }
 
-void RecurringPhaseTracker::finish() {
-  if (PhaseOpen)
-    closePhase(Consumed);
+bool RecurringPhaseTracker::finish() {
+  if (!Edges.finish())
+    return false;
+  closePhase();
+  return true;
 }
 
-void RecurringPhaseTracker::closePhase(uint64_t EndOffset) {
+void RecurringPhaseTracker::closePhase() {
   PhaseLibrary::Classification C = Library.classify(OpenSignature);
-  Completed.push_back(
-      {{PhaseBegin, EndOffset}, C.Id, C.Recurrence, C.Similarity});
-  PhaseOpen = false;
+  Completed.push_back({{Edges.phaseBegin(), Edges.edgeOffset()}, C.Id,
+                       C.Recurrence, C.Similarity});
 }
 
 void RecurringPhaseTracker::reset() {
   Library.clear();
   OpenSignature.clear();
   Completed.clear();
-  PhaseOpen = false;
-  PhaseBegin = 0;
-  Consumed = 0;
+  Edges = PhaseEdges();
 }

@@ -25,6 +25,7 @@
 #ifndef OPD_CORE_RECURRINGPHASES_H
 #define OPD_CORE_RECURRINGPHASES_H
 
+#include "core/DetectorRunner.h"
 #include "trace/ProfileElement.h"
 #include "trace/StateSequence.h"
 
@@ -94,7 +95,7 @@ public:
 
 /// Observes an online detector's output stream and identifies recurring
 /// phases. Drive it with the same batches the detector consumed and the
-/// state the detector returned.
+/// state the detector returned; phases open and close under PhaseEdges.
 class RecurringPhaseTracker {
 public:
   /// One completed phase with its identity.
@@ -109,11 +110,17 @@ public:
       : Library(MatchThreshold), OpenSignature(NumSites) {}
 
   /// Feeds one detector step: \p N elements and the state that covers
-  /// them.
-  void observe(const SiteIndex *Elements, size_t N, PhaseState State);
+  /// them. Returns the step's edge; after an End edge the closed phase is
+  /// completedPhases().back().
+  PhaseEdges::Edge observe(const SiteIndex *Elements, size_t N,
+                           PhaseState State);
 
-  /// Call at end of stream: closes a still-open phase.
-  void finish();
+  /// Call at end of stream: closes a still-open phase and returns true
+  /// when there was one.
+  bool finish();
+
+  /// The edge state and offsets of the observed stream.
+  const PhaseEdges &edges() const { return Edges; }
 
   /// Completed phases in order.
   const std::vector<CompletedPhase> &completedPhases() const {
@@ -127,14 +134,13 @@ public:
   void reset();
 
 private:
-  void closePhase(uint64_t EndOffset);
+  /// Classifies the phase PhaseEdges just closed.
+  void closePhase();
 
   PhaseLibrary Library;
   PhaseSignature OpenSignature;
   std::vector<CompletedPhase> Completed;
-  bool PhaseOpen = false;
-  uint64_t PhaseBegin = 0;
-  uint64_t Consumed = 0;
+  PhaseEdges Edges;
 };
 
 } // namespace opd

@@ -292,28 +292,34 @@ bool opd::streamSession(uint16_t Port, const HelloMsg &Hello,
 }
 
 DetectorRun opd::streamedToDetectorRun(const StreamedRun &Run) {
+  const std::vector<TransitionMsg> &Frames = Run.Transitions;
+  const uint64_t Elements = Run.Summary.Elements;
+  auto Malformed = [Elements] { // Never equals an offline run; see Client.h.
+    DetectorRun M;
+    M.States.append(PhaseState::Transition, Elements + 1);
+    return M;
+  };
+  // The stream is T up to the first frame; each frame then decides the
+  // stretch up to the next frame (or Elements), which must be nonempty
+  // and a PhaseEdges edge.
   DetectorRun R;
-  PhaseState Cur = PhaseState::Transition;
-  uint64_t Prev = 0;
+  PhaseEdges Edges;
+  uint64_t First = Frames.empty() ? Elements : Frames.front().Offset;
+  Edges.step(PhaseState::Transition, First);
+  R.States.append(PhaseState::Transition, First);
   std::vector<uint64_t> Anchors;
-  for (const TransitionMsg &T : Run.Transitions) {
-    R.States.append(Cur, T.Offset - Prev);
-    if (T.NewState == PhaseState::InPhase)
-      Anchors.push_back(T.HasAnchor ? T.Anchor : T.Offset);
-    Cur = T.NewState;
-    Prev = T.Offset;
+  for (size_t I = 0; I != Frames.size(); ++I) {
+    const TransitionMsg &F = Frames[I];
+    uint64_t End = I + 1 < Frames.size() ? Frames[I + 1].Offset : Elements;
+    if (End <= F.Offset)
+      return Malformed();
+    PhaseEdges::Edge E = Edges.step(F.NewState, End - F.Offset);
+    if (E == PhaseEdges::Edge::None)
+      return Malformed();
+    if (E == PhaseEdges::Edge::Begin)
+      Anchors.push_back(F.HasAnchor ? F.Anchor : F.Offset);
+    R.States.append(F.NewState, End - F.Offset);
   }
-  R.States.append(Cur, Run.Summary.Elements - Prev);
-  R.States.phasesInto(R.DetectedPhases);
-
-  // runDetector()'s anchor clamp: sorted and disjoint.
-  uint64_t PrevEnd = 0;
-  for (size_t I = 0; I != R.DetectedPhases.size(); ++I) {
-    PhaseInterval P = R.DetectedPhases[I];
-    uint64_t Anchor = I < Anchors.size() ? Anchors[I] : P.Begin;
-    P.Begin = std::clamp(Anchor, PrevEnd, P.Begin);
-    R.AnchoredPhases.push_back(P);
-    PrevEnd = P.End;
-  }
+  finalizeAnchoredPhases(R, Anchors);
   return R;
 }

@@ -130,9 +130,14 @@ bool streamSession(uint16_t Port, const HelloMsg &Hello,
 /// Rebuilds the offline DetectorRun a streamed session corresponds to:
 /// states from the Transition events over Summary.Elements elements,
 /// detected phases from the state runs, and anchored phases from the
-/// event anchors under runDetector()'s clamp (sorted, disjoint). The run
-/// equals runDetector() on the same elements and config exactly when the
-/// server honored the equivalence contract.
+/// event anchors through finalizeAnchoredPhases() (sorted, disjoint). The
+/// run equals runDetector() on the same elements and config exactly when
+/// the server honored the equivalence contract.
+/// The frames must follow PhaseEdges: offsets strictly increasing below
+/// Summary.Elements, states alternating from P. A stream that does not
+/// yields Summary.Elements + 1 (mod 2^64) Transition states and no phases,
+/// so it never equals an offline run, which holds exactly Summary.Elements
+/// states (an empty run would equal one when Summary.Elements is 0).
 DetectorRun streamedToDetectorRun(const StreamedRun &Run);
 
 } // namespace opd

@@ -187,19 +187,18 @@ bool ServeSession::handleHello(const Frame &F) {
 
 void ServeSession::decideBatch(const SiteIndex *Elements, size_t N) {
   PhaseState S = Detector->processBatch(Elements, N);
-  if (S != Last) {
-    TransitionMsg T;
-    T.Offset = Consumed;
-    T.NewState = S;
-    if (S == PhaseState::InPhase && (Flags & HelloWantAnchors)) {
-      T.HasAnchor = true;
-      T.Anchor = Detector->lastPhaseStartEstimate();
-    }
-    appendTransition(Out, T);
-    Transitions += 1;
-    Last = S;
+  PhaseEdges::Edge E = Edges.step(S, N);
+  if (E == PhaseEdges::Edge::None)
+    return;
+  TransitionMsg T;
+  T.Offset = Edges.edgeOffset();
+  T.NewState = S;
+  if (E == PhaseEdges::Edge::Begin && (Flags & HelloWantAnchors)) {
+    T.HasAnchor = true;
+    T.Anchor = Detector->lastPhaseStartEstimate();
   }
-  Consumed += N;
+  appendTransition(Out, T);
+  Transitions += 1;
 }
 
 void ServeSession::compactPending() {
@@ -240,9 +239,9 @@ bool ServeSession::pump(size_t MaxElements) {
       PendingHead += Tail;
     }
     FinishedMsg Fin;
-    Fin.Elements = Consumed;
+    Fin.Elements = Edges.consumed();
     Fin.Transitions = Transitions;
-    Fin.FinalState = Last;
+    Fin.FinalState = Edges.state();
     // Progress before Finished so a client's flow-control window fully
     // opens before it sees the summary.
     if ((Flags & HelloWantProgress) && Ingested > AckedIngest) {

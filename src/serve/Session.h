@@ -31,6 +31,7 @@
 #ifndef OPD_SERVE_SESSION_H
 #define OPD_SERVE_SESSION_H
 
+#include "core/DetectorRunner.h"
 #include "serve/DetectorCache.h"
 #include "serve/Protocol.h"
 
@@ -137,7 +138,7 @@ public:
   void takeOutput(std::vector<uint8_t> &Sink);
 
   /// Elements decided by the detector so far.
-  uint64_t elementsProcessed() const { return Consumed; }
+  uint64_t elementsProcessed() const { return Edges.consumed(); }
 
   /// Transition events emitted so far.
   uint64_t transitions() const { return Transitions; }
@@ -159,8 +160,8 @@ private:
   /// Emits the terminal Error frame and moves to Failed.
   void fail(ServeError Code, const std::string &Message);
 
-  /// Decides one batch of \p N elements starting at offset Consumed,
-  /// emitting a Transition on a state flip.
+  /// Decides the next batch of \p N elements, emitting a Transition at
+  /// each PhaseEdges edge.
   void decideBatch(const SiteIndex *Elements, size_t N);
 
   /// Drops the consumed prefix of the pending buffer when it outweighs
@@ -189,9 +190,8 @@ private:
   /// Finish frame received; the tail may be decided.
   bool FinishSeen = false;
 
-  /// Detector streaming state.
-  PhaseState Last = PhaseState::Transition;
-  uint64_t Consumed = 0;
+  /// Detector streaming state: the decided states' edges and offsets.
+  PhaseEdges Edges;
   uint64_t Ingested = 0;
   uint64_t AckedIngest = 0;
   uint64_t Transitions = 0;

@@ -10,8 +10,8 @@
 /// the TraceExport serialization: (a) the callback sequence of an
 /// observed run obeys the state machine documented in
 /// docs/OBSERVABILITY.md, (b) JSON and CSV exports round-trip a RunTrace
-/// exactly, and (c) attaching an observer leaves the DetectorRun output
-/// bit-for-bit unchanged.
+/// exactly, and (c) observing a run leaves the DetectorRun output
+/// bit-for-bit unchanged and reaches only that run's observer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -297,10 +297,30 @@ TEST(ObserverTransparencyTest, IdenticalRunsWithAndWithoutObserver) {
       ASSERT_EQ(Bare.States.at(I), Traced.States.at(I)) << "element " << I;
     EXPECT_EQ(Bare.DetectedPhases, Traced.DetectedPhases);
     EXPECT_EQ(Bare.AnchoredPhases, Traced.AnchoredPhases);
-
-    // The observer is detached after the run.
-    EXPECT_EQ(Watched->observer(), nullptr);
   }
+}
+
+TEST(ObserverTransparencyTest, BackToBackObserversSeeOnlyTheirOwnRun) {
+  // The observer is passed per run, so two observed runs of one detector
+  // each reach only their own observer: the first observer's timeline is
+  // untouched by the second run, and each equals a fresh detector's.
+  BranchTrace First = makePhasedTrace(3, 2000, 600, 41);
+  BranchTrace Second = makePhasedTrace(2, 1500, 400, 43);
+  DetectorConfig Config = makeConfig(128, TWPolicyKind::Adaptive);
+  std::unique_ptr<PhaseDetector> Shared =
+      makeDetector(Config, First.numSites());
+
+  RunTrace A, B;
+  runDetector(*Shared, First, &A);
+  std::vector<TraceEvent> AfterFirst = A.events();
+  runDetector(*Shared, Second, &B);
+  EXPECT_EQ(A.events(), AfterFirst);
+
+  RunTrace FreshA = observeRun(First, Config);
+  RunTrace FreshB = observeRun(Second, Config);
+  EXPECT_EQ(A.events(), FreshA.events());
+  EXPECT_EQ(B.events(), FreshB.events());
+  EXPECT_NE(A.events(), B.events());
 }
 
 TEST(ObserverTransparencyTest, ReusingDetectorAfterObservedRun) {

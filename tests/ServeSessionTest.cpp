@@ -17,6 +17,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/DetectorRunner.h"
+#include "core/PhaseMonitor.h"
+#include "obs/RunTrace.h"
 #include "serve/Client.h"
 #include "serve/Session.h"
 #include "workloads/Synthetic.h"
@@ -112,6 +114,53 @@ void expectRunsEqual(const DetectorRun &Reference, const DetectorRun &Streamed,
   EXPECT_EQ(Reference.AnchoredPhases, Streamed.AnchoredPhases) << What;
 }
 
+/// Feeds \p Elements to a fresh session in one piece with Finish, pumps
+/// it to completion, and returns the decoded events.
+StreamedRun serveWhole(const DetectorConfig &Config, SiteIndex NumSites,
+                       const std::vector<SiteIndex> &Elements) {
+  DetectorCache Cache;
+  ServeSession Sess(/*Id=*/1, ServeLimits(), Cache);
+  std::vector<uint8_t> Wire = helloBytes(Config, NumSites, HelloWantAnchors);
+  appendElements(Wire, Elements.data(), Elements.size());
+  appendFinish(Wire);
+  EXPECT_TRUE(Sess.feed(Wire.data(), Wire.size()));
+  while (Sess.pump()) {
+  }
+  EXPECT_TRUE(Sess.done());
+  std::vector<uint8_t> Out;
+  Sess.takeOutput(Out);
+  StreamedRun Run;
+  collectEvents(Out, Run);
+  return Run;
+}
+
+/// A hand-written Transition stream over \p Elements elements.
+StreamedRun frameStream(
+    std::initializer_list<std::pair<uint64_t, PhaseState>> Frames,
+    uint64_t Elements) {
+  StreamedRun Run;
+  for (const auto &[Offset, State] : Frames) {
+    TransitionMsg T;
+    T.Offset = Offset;
+    T.NewState = State;
+    Run.Transitions.push_back(T);
+  }
+  Run.GotFinished = true;
+  Run.Summary.Elements = Elements;
+  Run.Summary.Transitions = Run.Transitions.size();
+  return Run;
+}
+
+/// A malformed stream must rebuild into a run no offline run over
+/// Summary.Elements elements can equal.
+void expectMalformed(const StreamedRun &Run, const std::string &What) {
+  DetectorRun R = streamedToDetectorRun(Run);
+  EXPECT_NE(R.States.size(), Run.Summary.Elements) << What;
+  EXPECT_EQ(R.States.size(), Run.Summary.Elements + 1) << What;
+  EXPECT_TRUE(R.DetectedPhases.empty()) << What;
+  EXPECT_TRUE(R.AnchoredPhases.empty()) << What;
+}
+
 /// Streams the test trace through a session with the given wire chunking
 /// and pump budget, then requires the rebuilt run to equal runDetector.
 void runEquivalence(const DetectorConfig &Config, size_t ElementsPerFrame,
@@ -187,6 +236,113 @@ TEST(ServeSession, EquivalenceAdaptiveWeightedBoundedPumps) {
   C.Window.SkipFactor = 13;
   // A tiny pump budget forces many partial pumps per feed.
   runEquivalence(C, 501, 1u << 12, 64, "adaptive weighted pump=64");
+}
+
+TEST(ServeSession, MalformedStreamBackwardsOffset) {
+  const PhaseState P = PhaseState::InPhase, T = PhaseState::Transition;
+  expectMalformed(frameStream({{100, P}, {200, T}, {150, P}}, 300),
+                  "P@100 T@200 P@150");
+  expectMalformed(frameStream({{100, P}, {100, T}}, 300), "P@100 T@100");
+}
+
+TEST(ServeSession, MalformedStreamRepeatedState) {
+  const PhaseState P = PhaseState::InPhase, T = PhaseState::Transition;
+  expectMalformed(frameStream({{100, P}, {200, P}}, 300), "P@100 P@200");
+  expectMalformed(frameStream({{50, T}}, 300), "leading T@50");
+  expectMalformed(frameStream({{100, P}, {200, T}, {250, T}}, 300),
+                  "P@100 T@200 T@250");
+}
+
+TEST(ServeSession, MalformedStreamOffsetPastElements) {
+  const PhaseState P = PhaseState::InPhase, T = PhaseState::Transition;
+  expectMalformed(frameStream({{100, P}, {300, T}}, 300), "T@300 of 300");
+  expectMalformed(frameStream({{400, P}, {500, T}}, 300), "P@400 of 300");
+  expectMalformed(frameStream({{0, P}}, 0), "P@0 of 0");
+
+  // In bounds, the same shape is well-formed.
+  DetectorRun R = streamedToDetectorRun(frameStream({{0, P}, {299, T}}, 300));
+  EXPECT_EQ(R.States.size(), 300u);
+  EXPECT_EQ(R.DetectedPhases, (std::vector<PhaseInterval>{{0, 299}}));
+}
+
+TEST(PhaseEdgesTest, SameEventStreamFromRunnerMonitorAndSession) {
+  // One (begin, raw anchor, end) list per producer: the observed runner,
+  // PhaseMonitor's callbacks, and a session's raw Transition frames. The
+  // trace ends in P, so every producer must close the last phase at the
+  // stream length; skip 100 also ends in a short tail batch.
+  struct PhaseEvent {
+    uint64_t Begin, Anchor, End;
+    bool operator==(const PhaseEvent &) const = default;
+  };
+  // A long tail cycling over 8 sites keeps the trace in P to its end.
+  BranchTrace Trace = testTrace().Trace;
+  for (unsigned I = 0; I != 6001; ++I)
+    Trace.appendIndex(Trace.elements()[I % 8]);
+  const std::vector<SiteIndex> &Elements = Trace.elements();
+  ASSERT_NE(Elements.size() % 100, 0u);
+
+  for (uint32_t Skip : {1u, 100u}) {
+    const std::string What = "skip=" + std::to_string(Skip);
+    DetectorConfig C = baseConfig();
+    C.Window.TWPolicy = TWPolicyKind::Adaptive;
+    C.Window.Anchor = AnchorKind::LeftmostNonNoisy;
+    C.Window.SkipFactor = Skip;
+
+    std::unique_ptr<PhaseDetector> D = makeDetector(C, Trace.numSites());
+    RunTrace Observed;
+    DetectorRun Run = runDetector(*D, Trace, &Observed);
+    std::vector<PhaseEvent> FromRunner;
+    for (const TraceEvent &E : Observed.events()) {
+      if (E.Kind == TraceEventKind::PhaseBegin)
+        FromRunner.push_back({E.Offset, E.A, 0});
+      else if (E.Kind == TraceEventKind::PhaseEnd)
+        FromRunner.back().End = E.Offset;
+    }
+
+    PhaseMonitor Monitor(C, Trace.numSites());
+    std::vector<PhaseEvent> FromMonitor;
+    Monitor.onPhaseStart([&](const PhaseStartEvent &E) {
+      FromMonitor.push_back({E.DetectedAt, E.EstimatedStart, 0});
+    });
+    Monitor.onPhaseEnd([&](const PhaseEndEvent &E) {
+      ASSERT_FALSE(FromMonitor.empty());
+      EXPECT_EQ(FromMonitor.back().Begin, E.Start) << What;
+      FromMonitor.back().End = E.End;
+    });
+    Monitor.addElements(Elements.data(), Elements.size());
+    Monitor.finish();
+
+    StreamedRun Served = serveWhole(C, Trace.numSites(), Elements);
+    std::vector<PhaseEvent> FromSession;
+    for (const TransitionMsg &T : Served.Transitions) {
+      if (T.NewState == PhaseState::InPhase) {
+        EXPECT_TRUE(T.HasAnchor) << What;
+        FromSession.push_back({T.Offset, T.Anchor, 0});
+      } else {
+        ASSERT_FALSE(FromSession.empty()) << What;
+        FromSession.back().End = T.Offset;
+      }
+    }
+    ASSERT_TRUE(Served.GotFinished) << What;
+    ASSERT_EQ(Served.Summary.FinalState, PhaseState::InPhase) << What;
+    FromSession.back().End = Served.Summary.Elements;
+
+    ASSERT_FALSE(Run.DetectedPhases.empty()) << What;
+    EXPECT_EQ(Run.DetectedPhases.back().End, Elements.size()) << What;
+    ASSERT_EQ(FromRunner.size(), Run.DetectedPhases.size()) << What;
+    for (size_t I = 0; I != FromRunner.size(); ++I) {
+      EXPECT_EQ(FromRunner[I].Begin, Run.DetectedPhases[I].Begin) << What;
+      EXPECT_EQ(FromRunner[I].End, Run.DetectedPhases[I].End) << What;
+    }
+    EXPECT_TRUE(FromMonitor == FromRunner) << What;
+    EXPECT_TRUE(FromSession == FromRunner) << What;
+    // Anchoring moves some starts, so a producer that reported the
+    // detection offset as its anchor would fail the comparisons above.
+    bool AnchorMoved = false;
+    for (const PhaseEvent &E : FromRunner)
+      AnchorMoved |= E.Anchor != E.Begin;
+    EXPECT_TRUE(AnchorMoved) << What;
+  }
 }
 
 TEST(ServeSession, HandshakeRejectsInvalidConfigs) {
