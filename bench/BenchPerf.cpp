@@ -86,7 +86,7 @@ BENCHMARK_CAPTURE(BM_Detector, weighted_adaptive, ModelKind::WeightedSet,
 static void BM_FastDetector(benchmark::State &State, ModelKind Model,
                             TWPolicyKind Policy) {
   const BenchmarkData &B = sharedBenchmark();
-  std::unique_ptr<FastDetectorBase> D =
+  std::unique_ptr<OnlineDetector> D =
       makeFastDetector(configFor(Model, Policy), B.Trace.numSites());
   DetectorRun Run;
   for (auto _ : State) {

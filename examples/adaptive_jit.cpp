@@ -28,6 +28,7 @@
 
 #include "baseline/BaselineSolution.h"
 #include "core/DetectorConfig.h"
+#include "core/DetectorRunner.h"
 #include "core/RecurringPhases.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -110,8 +111,9 @@ double simulateWithReuse(const DetectorConfig &Config,
   const std::vector<PhaseInterval> &Phases = Oracle.phases();
   size_t PhaseCursor = 0;
   double Cost = 0.0;
-  bool InPhase = false, Specialized = false, Probing = false;
+  bool Specialized = false, Probing = false;
   ptrdiff_t SpecializedPhase = -2;
+  PhaseEdges Edges;
 
   const std::vector<SiteIndex> &Elements = Trace.elements();
   for (uint64_t I = 0; I != Elements.size(); ++I) {
@@ -123,27 +125,28 @@ double simulateWithReuse(const DetectorConfig &Config,
     ptrdiff_t CurrentPhase =
         InOraclePhase ? static_cast<ptrdiff_t>(PhaseCursor) : -1;
 
-    if (S == PhaseState::InPhase) {
-      if (!InPhase) { // phase entry: start probing
-        InPhase = true;
-        Probing = true;
-        Probe.clear();
-      }
-      if (Probing) {
-        Probe.addElement(Elements[I]);
-        if (Probe.total() >= ProbeLength) {
-          Probing = false;
-          PhaseLibrary::Classification C = Cache.classify(Probe);
-          if (!C.Recurrence)
-            Cost += Model.RecompileCost; // new phase: compile and cache
-          Specialized = true;
-          SpecializedPhase = CurrentPhase;
-        }
-      }
-    } else if (InPhase) { // phase exit: deoptimize
-      InPhase = false;
+    switch (Edges.step(S, 1)) {
+    case PhaseEdges::Edge::Begin: // phase entry: start probing
+      Probing = true;
+      Probe.clear();
+      break;
+    case PhaseEdges::Edge::End: // phase exit: deoptimize
       Probing = false;
       Specialized = false;
+      break;
+    case PhaseEdges::Edge::None:
+      break;
+    }
+    if (Probing) {
+      Probe.addElement(Elements[I]);
+      if (Probe.total() >= ProbeLength) {
+        Probing = false;
+        PhaseLibrary::Classification C = Cache.classify(Probe);
+        if (!C.Recurrence)
+          Cost += Model.RecompileCost; // new phase: compile and cache
+        Specialized = true;
+        SpecializedPhase = CurrentPhase;
+      }
     }
 
     if (!Specialized)

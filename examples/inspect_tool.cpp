@@ -244,7 +244,7 @@ int main(int Argc, char **Argv) {
       switch (E.Kind) {
       case TraceEventKind::Evaluation:
         Similarity = formatDouble(E.Similarity, 4);
-        State = E.Decision == PhaseState::InPhase ? "P" : "T";
+        State += E.Decision == PhaseState::InPhase ? 'P' : 'T';
         break;
       case TraceEventKind::Anchor:
         Detail = std::string(anchorKindName(

@@ -561,7 +561,7 @@ int main(int Argc, char **Argv) {
 
   // Offline baseline: one fast-detector thread on the same trace — the
   // denominator of serving_vs_offline_ratio.
-  std::unique_ptr<FastDetectorBase> Offline =
+  std::unique_ptr<OnlineDetector> Offline =
       makeFastDetector(Opts.Config, Trace.numSites());
   DetectorRun Reference;
   double OfflineEps = 0.0;

@@ -33,15 +33,14 @@ void printStats(const ServerStats &S) {
   std::fprintf(stderr,
                "opd_serve: accepted=%llu completed=%llu evicted=%llu "
                "errors=%llu drained=%llu elements=%llu transitions=%llu "
-               "in=%llu out=%llu cache[hit=%llu miss=%llu]\n",
+               "in=%llu out=%llu\n",
                (unsigned long long)S.Accepted, (unsigned long long)S.Completed,
                (unsigned long long)S.Evicted,
                (unsigned long long)S.ProtocolErrors,
                (unsigned long long)S.DrainClosed,
                (unsigned long long)S.Elements,
                (unsigned long long)S.Transitions, (unsigned long long)S.BytesIn,
-               (unsigned long long)S.BytesOut, (unsigned long long)S.Cache.Hits,
-               (unsigned long long)S.Cache.Misses);
+               (unsigned long long)S.BytesOut);
 }
 
 } // namespace

@@ -32,12 +32,14 @@
 #   tsan:         ThreadSanitizer over the concurrency-exercising tests,
 #                 with OPD_THREADS=4 so single-core runners still run
 #                 real threads
-#   sweep-shared: the shared-scan engine's bit-identity differential
+#   sweep-shared: a warnings-as-errors Release build of every target,
+#                 the shared-scan engine's bit-identity differential
 #                 (tests/SharedScanTest.cpp), then a Release pruned
 #                 paper sweep timed against the BENCH_PERF.json
 #                 sweep_shared_seconds entry, within 25%
 #                 (scripts/check_perf.py --sweep-shared)
-#   perf:         Release perf smoke vs BENCH_PERF.json — the fast
+#   perf:         (same Release tree as sweep-shared)
+#                 Release perf smoke vs BENCH_PERF.json — the fast
 #                 detector ratios within 25% and the serving ratio
 #                 within 50% (scripts/check_perf.py)
 #
@@ -99,8 +101,8 @@ PREFIX="${PREFIX:-build-ci}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 # Configures and (incrementally) builds one named tree; stages that share
-# a tree (plain / kernel-check / serve-check, asan-ubsan / serve-smoke)
-# get a no-op rebuild when run in one invocation.
+# a tree (plain / kernel-check / serve-check, asan-ubsan / serve-smoke,
+# sweep-shared / perf) get a no-op rebuild when run in one invocation.
 configure_build() {
   local name="$1"
   shift
@@ -202,15 +204,19 @@ stage_tsan() {
     -j "$JOBS" -R 'Parallel|Sweep|Observ|Config|Serve'
 }
 
+# The Release tree, shared by the sweep-shared and perf stages. Every
+# target is built with warnings as errors, so a warning that only an
+# NDEBUG build raises (an assert-only variable, say) fails CI.
+configure_build_release() {
+  configure_build perf -DCMAKE_BUILD_TYPE=Release
+}
+
 stage_sweep_shared() {
   # The shared-scan engine ships on a bit-identity contract
   # (core/SharedScan.h): the differential suite must hold, and the
   # pruned paper sweep must not get slower than the committed baseline.
-  # The Release tree is shared with the perf stage.
+  configure_build_release
   local dir="${PREFIX}-perf"
-  echo "=== [sweep-shared] configure + build (Release) ==="
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$dir" -j "$JOBS" --target shared_scan_test sweep_tool
   echo "=== [sweep-shared] differential ==="
   "$dir/tests/shared_scan_test"
   echo "=== [sweep-shared] pruned paper sweep ==="
@@ -229,10 +235,8 @@ stage_sweep_shared() {
 }
 
 stage_perf() {
+  configure_build_release
   local dir="${PREFIX}-perf"
-  echo "=== [perf] configure + build (Release) ==="
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$dir" -j "$JOBS" --target bench_perf opd_serve opd_loadgen
   "$dir/bench/bench_perf" \
     --benchmark_filter='BM_Detector/|BM_FastDetector/' \
     --benchmark_min_time=0.5 \

@@ -248,9 +248,9 @@ struct LockstepDriver {
   std::vector<ProtoStep> Schedule;
 
   LockstepDriver(ProtocolModel &M, const ServeLimits &Limits,
-                 DetectorCache &Cache, const DetectorConfig &Config,
-                 SiteIndex NumSites, uint16_t Flags)
-      : M(M), Sess(/*Id=*/1, Limits, Cache), Config(Config),
+                 const DetectorConfig &Config, SiteIndex NumSites,
+                 uint16_t Flags)
+      : M(M), Sess(/*Id=*/1, Limits), Config(Config),
         NumSites(NumSites), Flags(Flags) {}
 
   /// Applies one event to both sides; returns an empty string when the
@@ -383,7 +383,6 @@ void opd::checkImplConformance(const ProtocolModel &M,
     return;
   }
 
-  DetectorCache Cache;
   ServeLimits Limits;
   Limits.MaxPendingElements = M.params().HighWatermark;
   const DetectorConfig Config = conformanceConfig(M.params().Batch);
@@ -399,7 +398,7 @@ void opd::checkImplConformance(const ProtocolModel &M,
     std::vector<ProtoStep> Path = Ex.Witness[E.From];
     Path.push_back(E.Step);
 
-    LockstepDriver D(Mutable, Limits, Cache, Config, NumSites, /*Flags=*/0);
+    LockstepDriver D(Mutable, Limits, Config, NumSites, /*Flags=*/0);
     for (const ProtoStep &Step : Path) {
       std::vector<SiteIndex> Elems(Step.Count, SiteIndex(1));
       ObservedFrames Obs;
@@ -802,7 +801,6 @@ bool runsEqual(const std::vector<StateRun> &A, const std::vector<StateRun> &B) {
 void opd::fuzzProtocolConformance(const ProtocolFuzzOptions &Options,
                                   DiagnosticEngine &Diags) {
   std::mt19937_64 Rng(Options.Seed);
-  DetectorCache Cache;
   unsigned Reported = 0;
 
   for (unsigned It = 0; It != Options.Iterations && Reported < 10; ++It) {
@@ -830,7 +828,7 @@ void opd::fuzzProtocolConformance(const ProtocolFuzzOptions &Options,
 
     ServeLimits Limits;
     Limits.MaxPendingElements = P.HighWatermark;
-    LockstepDriver D(M, Limits, Cache, Config, NumSites, Flags);
+    LockstepDriver D(M, Limits, Config, NumSites, Flags);
 
     std::vector<SiteIndex> Accepted;
     StreamedRun Run;

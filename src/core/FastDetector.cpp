@@ -42,19 +42,17 @@ namespace {
 /// consumeTrace() override that keeps the whole run in one stack frame.
 template <ModelKind M, TWPolicyKind Policy, AnalyzerKind A,
           typename ArithT = PlainKernelArith>
-class FastPhaseDetector final : public FastDetectorBase {
+class FastPhaseDetector final : public OnlineDetector {
   using AnalyzerT = typename AnalyzerOf<A>::type;
 
 public:
   FastPhaseDetector(const DetectorConfig &Config, SiteIndex NumSites,
                     ArithT Arith = ArithT())
       : Model(Config.Window, NumSites, Arith),
-        TheAnalyzer(buildAnalyzer<A>(Config.AnalyzerParam)), Sites(NumSites) {
+        TheAnalyzer(buildAnalyzer<A>(Config.AnalyzerParam)) {
     assert(Config.Model == M && Config.TheAnalyzer == A &&
            "config does not match this shape");
   }
-
-  SiteIndex numSites() const override { return Sites; }
 
   PhaseState processBatch(const SiteIndex *Elements, size_t N) override {
     return processBatchInline(Elements, N);
@@ -138,15 +136,6 @@ public:
     return Out;
   }
 
-  void reconfigure(const DetectorConfig &Config) override {
-    assert(Config.Model == M && Config.Window.TWPolicy == Policy &&
-           Config.TheAnalyzer == A && "config does not match this shape");
-    Model.reconfigure(Config.Window);
-    TheAnalyzer = buildAnalyzer<A>(Config.AnalyzerParam);
-    State = PhaseState::Transition;
-    LastAnchor = 0;
-  }
-
 private:
   /// The T->P edge: anchor, phase start, stats reset. Out of line — it
   /// runs once per detected phase, and keeping its register demands out
@@ -206,11 +195,10 @@ private:
   AnalyzerT TheAnalyzer;
   PhaseState State = PhaseState::Transition;
   uint64_t LastAnchor = 0;
-  SiteIndex Sites;
 };
 
 template <ModelKind M, TWPolicyKind Policy, typename ArithT>
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 makeForAnalyzer(const DetectorConfig &C, SiteIndex NumSites, ArithT Arith) {
   switch (C.TheAnalyzer) {
   case AnalyzerKind::Threshold:
@@ -230,7 +218,7 @@ makeForAnalyzer(const DetectorConfig &C, SiteIndex NumSites, ArithT Arith) {
 }
 
 template <ModelKind M, typename ArithT>
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 makeForPolicy(const DetectorConfig &C, SiteIndex NumSites, ArithT Arith) {
   switch (C.Window.TWPolicy) {
   case TWPolicyKind::Constant:
@@ -242,7 +230,7 @@ makeForPolicy(const DetectorConfig &C, SiteIndex NumSites, ArithT Arith) {
 }
 
 template <typename ArithT>
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 makeForModel(const DetectorConfig &C, SiteIndex NumSites, ArithT Arith) {
   switch (C.Model) {
   case ModelKind::UnweightedSet:
@@ -264,12 +252,12 @@ size_t opd::fastShapeIndex(const DetectorConfig &Config) {
          static_cast<size_t>(Config.TheAnalyzer);
 }
 
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 opd::makeFastDetector(const DetectorConfig &Config, SiteIndex NumSites) {
   return makeForModel(Config, NumSites, PlainKernelArith());
 }
 
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 opd::makeCheckedFastDetector(const DetectorConfig &Config, SiteIndex NumSites,
                              KernelValueProbe &Probe) {
   return makeForModel(Config, NumSites, CheckedKernelArith(Probe));

@@ -37,25 +37,11 @@
 
 namespace opd {
 
-/// Abstract base of the monomorphic fast-path detectors: an
-/// OnlineDetector that can additionally be re-targeted at another
-/// configuration of the same shape, so sweep arenas reuse the kernel's
-/// per-site count arrays across the thousands of configs sharing a
-/// shape.
-class FastDetectorBase : public OnlineDetector {
-public:
-  /// Re-targets this instantiation at \p Config — which must map to this
-  /// detector's shape (fastShapeIndex) — without reallocating the
-  /// kernel's per-site arrays, then resets for a fresh stream.
-  virtual void reconfigure(const DetectorConfig &Config) = 0;
-
-  /// The site-space size this instantiation's kernel arrays were built
-  /// for. reconfigure() cannot change it, so reuse pools (the sweep
-  /// arenas and the serving detector cache) key their free lists on
-  /// (fastShapeIndex, numSites) to decide whether an instance can be
-  /// re-targeted at a new stream or must be rebuilt.
-  virtual SiteIndex numSites() const = 0;
-};
+/// The old name of the fast detectors' base class. The fast detectors
+/// are plain OnlineDetectors now; the alias stays only because the
+/// repository benchmark (perfbench/src/Serve.cpp) spells it, and goes the
+/// next time the benchmark changes.
+using FastDetectorBase = OnlineDetector;
 
 /// Number of distinct fast-path instantiations: model (3) x TW policy
 /// (2) x analyzer kind (3).
@@ -63,14 +49,14 @@ constexpr size_t NumFastShapes = 18;
 
 /// Index of \p Config's instantiation shape, in [0, NumFastShapes).
 /// Configs with equal shape differ only in runtime parameters (window
-/// sizes, skip factor, anchor/resize, analyzer parameter) and can share
-/// one reconfigure()d detector instance.
+/// sizes, skip factor, anchor/resize, analyzer parameter) and run the
+/// same compiled code.
 size_t fastShapeIndex(const DetectorConfig &Config);
 
 /// Builds the monomorphic fast-path detector for \p Config, sized for
 /// \p NumSites distinct profile elements. Output is bit-identical to
 /// makeDetector(Config, NumSites)'s.
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 makeFastDetector(const DetectorConfig &Config, SiteIndex NumSites);
 
 /// Builds the fast-path detector for \p Config with the
@@ -79,7 +65,7 @@ makeFastDetector(const DetectorConfig &Config, SiteIndex NumSites);
 /// outlive the detector). This is the fast-path half of the KernelBounds
 /// shadow mode (analysis/KernelBounds.h) — decision-identical to
 /// makeFastDetector, plus observation.
-std::unique_ptr<FastDetectorBase>
+std::unique_ptr<OnlineDetector>
 makeCheckedFastDetector(const DetectorConfig &Config, SiteIndex NumSites,
                         KernelValueProbe &Probe);
 

@@ -979,18 +979,6 @@ public:
     TheKernel.reset();
   }
 
-  /// Swaps in a new same-policy window configuration; the kernel keeps
-  /// its per-site arrays (reset() zeroes only the touched entries).
-  void reconfigure(const WindowConfig &NewConfig) {
-    assert(NewConfig.TWPolicy == Policy &&
-           "config does not match this shape");
-    assert(NewConfig.CWSize > 0 && "current window must be nonempty");
-    assert(NewConfig.TWSize > 0 && "trailing window must be nonempty");
-    assert(NewConfig.SkipFactor > 0 && "skip factor must be positive");
-    Config = NewConfig;
-    reset();
-  }
-
   uint64_t consumed() const { return GlobalConsumed; }
   const WindowConfig &config() const { return Config; }
 

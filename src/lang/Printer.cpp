@@ -33,12 +33,19 @@ public:
       return std::to_string(cast<IntLitExpr>(&E)->value());
     case Expr::Kind::ParamRef:
       return cast<ParamRefExpr>(&E)->name();
-    case Expr::Kind::Unary:
-      return "-" + printOperand(*cast<UnaryExpr>(&E)->operand());
+    case Expr::Kind::Unary: {
+      std::string Out = "-";
+      Out += printOperand(*cast<UnaryExpr>(&E)->operand());
+      return Out;
+    }
     case Expr::Kind::Binary: {
       const auto *Bin = cast<BinaryExpr>(&E);
-      return printOperand(*Bin->lhs()) + " " + opSpelling(Bin->op()) +
-             " " + printOperand(*Bin->rhs());
+      std::string Out = printOperand(*Bin->lhs());
+      Out += ' ';
+      Out += opSpelling(Bin->op());
+      Out += ' ';
+      Out += printOperand(*Bin->rhs());
+      return Out;
     }
     }
     assert(false && "unhandled expression kind");
@@ -47,9 +54,12 @@ public:
 
 private:
   static std::string printOperand(const Expr &E) {
-    if (E.kind() == Expr::Kind::Binary)
-      return "(" + print(E) + ")";
-    return print(E);
+    if (E.kind() != Expr::Kind::Binary)
+      return print(E);
+    std::string Out = "(";
+    Out += print(E);
+    Out += ')';
+    return Out;
   }
 
   static const char *opSpelling(BinaryOp Op) {

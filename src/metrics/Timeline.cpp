@@ -55,10 +55,11 @@ opd::renderTimelineSVG(const std::vector<TimelineTrack> &Tracks,
                        const TimelineOptions &Options) {
   assert(!Tracks.empty() && "timeline needs at least one track");
   uint64_t Total = Tracks.front().States->size();
-  for (const TimelineTrack &T : Tracks) {
-    assert(T.States && "track without states");
-    assert(T.States->size() == Total && "tracks must cover the same trace");
-  }
+  assert(std::all_of(Tracks.begin(), Tracks.end(),
+                     [Total](const TimelineTrack &T) {
+                       return T.States && T.States->size() == Total;
+                     }) &&
+         "every track must have states covering the same trace");
 
   const unsigned Pad = 8;
   const unsigned AxisHeight = 22;

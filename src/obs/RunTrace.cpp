@@ -206,7 +206,10 @@ std::vector<PhaseInterval> RunTrace::phases() const {
       Open = true;
     } else if (E.Kind == TraceEventKind::PhaseEnd) {
       assert(Open && "phase end without begin");
-      Out.push_back({Begin, E.Offset});
+      // An unmatched end (only a malformed loaded trace has one) closes
+      // nothing, as in anchoredPhases().
+      if (Open)
+        Out.push_back({Begin, E.Offset});
       Open = false;
     }
   }

@@ -23,6 +23,8 @@
 
 #include "serve/Server.h"
 
+#include "support/Parallel.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -61,10 +63,9 @@ double secondsBetween(Clock::time_point From, Clock::time_point To) {
 } // namespace
 
 struct PhaseServer::Impl {
-  explicit Impl(const ServerOptions &O) : Opts(O), Cache(O.CacheFreePerShape) {}
+  explicit Impl(const ServerOptions &O) : Opts(O) {}
 
   ServerOptions Opts;
-  DetectorCache Cache;
 
   std::atomic<bool> Running{false};
   std::atomic<bool> StopRequested{false};
@@ -80,8 +81,8 @@ struct PhaseServer::Impl {
   /// One client connection: the socket-facing shell around a
   /// ServeSession.
   struct Conn {
-    Conn(uint64_t Id, const ServeLimits &Limits, DetectorCache &Cache)
-        : Id(Id), Sess(std::make_unique<ServeSession>(Id, Limits, Cache)) {}
+    Conn(uint64_t Id, const ServeLimits &Limits)
+        : Id(Id), Sess(std::make_unique<ServeSession>(Id, Limits)) {}
 
     const uint64_t Id;
     int Fd = -1;
@@ -123,7 +124,7 @@ struct PhaseServer::Impl {
   // Lifetime counters (see ServerStats).
   std::atomic<uint64_t> NAccepted{0}, NCompleted{0}, NEvicted{0},
       NProtocolErrors{0}, NDrainClosed{0}, NElements{0}, NTransitions{0},
-      NBytesIn{0}, NBytesOut{0};
+      NBytesIn{0}, NBytesOut{0}, NDetectors{0};
 
   bool start(std::string &Error);
   void stop();
@@ -254,7 +255,7 @@ ServerStats PhaseServer::Impl::stats() const {
   S.Transitions = NTransitions.load(std::memory_order_relaxed);
   S.BytesIn = NBytesIn.load(std::memory_order_relaxed);
   S.BytesOut = NBytesOut.load(std::memory_order_relaxed);
-  S.Cache = Cache.stats();
+  S.Cache.Misses = NDetectors.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -328,7 +329,7 @@ void PhaseServer::Impl::acceptNew(Clock::time_point Now) {
     }
 
     uint64_t Id = NextSessionId++;
-    auto C = std::make_shared<Conn>(Id, Opts.Limits, Cache);
+    auto C = std::make_shared<Conn>(Id, Opts.Limits);
     C->Fd = Fd;
     C->Shard = unsigned(Id % NumShards);
     C->LastActivity = Now;
@@ -360,7 +361,6 @@ void PhaseServer::Impl::closeConn(Conn &C) {
           break;
         }
       }
-      // Destroying the session returns its detector to the cache.
       C.Sess.reset();
     }
   }
@@ -433,7 +433,10 @@ void PhaseServer::Impl::handleRead(const std::shared_ptr<Conn> &C,
         LockGuard L(C->M);
         if (!C->Sess)
           return;
+        bool Handshaking = !C->Sess->handshakeAccepted();
         Ok = C->Sess->feed(Buf, size_t(N));
+        if (Handshaking && C->Sess->handshakeAccepted())
+          NDetectors.fetch_add(1, std::memory_order_relaxed);
         if (C->Sess->hasOutput())
           C->Sess->takeOutput(C->WriteBuf);
         if (Ok) {

@@ -22,9 +22,9 @@
 ///    session is only ever pumped by one thread, so detector state
 ///    needs no locking beyond the per-connection mutex that hands
 ///    buffers between the I/O thread and the worker.
-///  * Detectors come from a shared DetectorCache, so session churn
-///    reconfigures pooled FastPhaseDetectors instead of reallocating
-///    kernel arrays.
+///  * Each session builds its own fast detector when its handshake is
+///    accepted and drops it at Done or Failed, so a closed session holds
+///    no detector memory and no detector state outlives its stream.
 ///
 /// Backpressure: a session whose ingress backlog reaches the
 /// ServeLimits watermark stops being read (its TCP window closes, the
@@ -38,7 +38,6 @@
 #ifndef OPD_SERVE_SERVER_H
 #define OPD_SERVE_SERVER_H
 
-#include "serve/DetectorCache.h"
 #include "serve/Session.h"
 
 #include <memory>
@@ -65,8 +64,6 @@ struct ServerOptions {
   double DrainTimeoutSeconds = 10.0;
   /// Per-session validation bounds and backpressure watermark.
   ServeLimits Limits;
-  /// Free-detector pool bound per shape (DetectorCache).
-  size_t CacheFreePerShape = 256;
 };
 
 /// Monotonic counters describing a server's lifetime (all totals).
@@ -88,8 +85,15 @@ struct ServerStats {
   /// Raw bytes received / sent.
   uint64_t BytesIn = 0;
   uint64_t BytesOut = 0;
-  /// Detector-pool effectiveness.
-  DetectorCache::Stats Cache;
+  /// Detectors built. Kept in this two-field shape only because the
+  /// repository benchmark (perfbench/src/Serve.cpp) reads it; it goes the
+  /// next time the benchmark changes.
+  struct DetectorCounts {
+    /// Always 0: no detector is reused across sessions.
+    uint64_t Hits = 0;
+    /// Detectors built, one per accepted handshake.
+    uint64_t Misses = 0;
+  } Cache;
 };
 
 /// The serving daemon. start() spawns the I/O thread and shard workers;

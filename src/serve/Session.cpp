@@ -7,22 +7,14 @@
 
 #include "serve/Session.h"
 
+#include "core/FastDetector.h"
+
 #include <cmath>
 
 using namespace opd;
 
-ServeSession::ServeSession(uint64_t Id, const ServeLimits &Limits,
-                           DetectorCache &Cache)
-    : Id(Id), Limits(Limits), Cache(Cache) {}
-
-// NOLINTNEXTLINE(bugprone-exception-escape): release path only moves a
-// pooled detector back to the cache; nothing on it can throw.
-ServeSession::~ServeSession() { releaseDetector(); }
-
-void ServeSession::releaseDetector() {
-  if (Detector)
-    Cache.release(Config, std::move(Detector));
-}
+ServeSession::ServeSession(uint64_t Id, const ServeLimits &Limits)
+    : Id(Id), Limits(Limits) {}
 
 void ServeSession::takeOutput(std::vector<uint8_t> &Sink) {
   Sink.insert(Sink.end(), Out.begin(), Out.end());
@@ -33,7 +25,7 @@ void ServeSession::fail(ServeError Code, const std::string &Message) {
   appendError(Out, Code, Message);
   St = State::Failed;
   Err = Code;
-  releaseDetector();
+  Detector.reset();
   // The backlog can never be decided now; drop it so the buffer does not
   // pin memory for the connection's remaining (flush-then-close) life.
   Pending.clear();
@@ -174,7 +166,7 @@ bool ServeSession::handleHello(const Frame &F) {
   Config = M.Config;
   NumSites = M.NumSites;
   Flags = M.Flags;
-  Detector = Cache.acquire(Config, NumSites);
+  Detector = makeFastDetector(Config, NumSites);
 
   HelloAckMsg Ack;
   Ack.SessionId = Id;
@@ -252,7 +244,7 @@ bool ServeSession::pump(size_t MaxElements) {
     }
     appendFinished(Out, Fin);
     St = State::Done;
-    releaseDetector();
+    Detector.reset();
     Pending.clear();
     PendingHead = 0;
     return false;

@@ -8,7 +8,7 @@
 /// \file
 /// ServeSession is the socket-free heart of the server: it consumes raw
 /// protocol bytes (feed), buffers decoded profile elements, streams them
-/// through a pooled FastPhaseDetector in skip-factor batches (pump), and
+/// through its own fast detector in skip-factor batches (pump), and
 /// produces the response byte stream (takeOutput). The server wires
 /// sockets to these three calls; tests drive sessions directly with byte
 /// buffers and hold the streamed output equivalent to offline
@@ -32,7 +32,6 @@
 #define OPD_SERVE_SESSION_H
 
 #include "core/DetectorRunner.h"
-#include "serve/DetectorCache.h"
 #include "serve/Protocol.h"
 
 #include <limits>
@@ -68,10 +67,8 @@ public:
     Failed,     ///< Terminal error emitted; see error().
   };
 
-  /// Creates session \p Id drawing detectors from \p Cache under
-  /// \p Limits. \p Cache must outlive the session.
-  ServeSession(uint64_t Id, const ServeLimits &Limits, DetectorCache &Cache);
-  ~ServeSession();
+  /// Creates session \p Id under \p Limits.
+  ServeSession(uint64_t Id, const ServeLimits &Limits);
 
   ServeSession(const ServeSession &) = delete;
   ServeSession &operator=(const ServeSession &) = delete;
@@ -143,6 +140,10 @@ public:
   /// Transition events emitted so far.
   uint64_t transitions() const { return Transitions; }
 
+  /// True once the handshake was accepted and the session's detector
+  /// built (it is dropped again at Done or Failed).
+  bool handshakeAccepted() const { return NumSites != 0; }
+
   /// The negotiated configuration (valid once Streaming).
   const DetectorConfig &config() const { return Config; }
 
@@ -168,12 +169,8 @@ private:
   /// the live remainder.
   void compactPending();
 
-  /// Returns the detector to the cache (idempotent).
-  void releaseDetector();
-
   uint64_t Id;
   ServeLimits Limits;
-  DetectorCache &Cache;
 
   State St = State::AwaitHello;
   ServeError Err = ServeError::None;
@@ -182,7 +179,9 @@ private:
   DetectorConfig Config;
   SiteIndex NumSites = 0;
   uint16_t Flags = 0;
-  std::unique_ptr<FastDetectorBase> Detector;
+  /// Built when the handshake is accepted, dropped at Done or Failed:
+  /// the detector's state belongs to this one stream.
+  std::unique_ptr<OnlineDetector> Detector;
 
   /// Ingress element buffer; [PendingHead, Pending.size()) is live.
   std::vector<SiteIndex> Pending;

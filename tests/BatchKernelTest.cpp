@@ -177,7 +177,7 @@ TEST(BatchKernelDifferentialTest, DetectorRunsBitIdenticalPerBackend) {
     std::unique_ptr<PhaseDetector> Reference =
         makeDetector(Config, Bench.Trace.numSites());
     DetectorRun ReferenceRun = runDetector(*Reference, Bench.Trace);
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Config, Bench.Trace.numSites());
     DetectorRun FastRun = runDetector(*Fast, Bench.Trace);
     expectRunsEqual(ReferenceRun, FastRun, Config, "fast");

@@ -12,9 +12,9 @@
 /// trace through both paths across the whole configuration shape space —
 /// every model, TW policy, analyzer kind, anchor, resize, and the skip-
 /// factor/window-size corner cases — and requires equal StateSequences,
-/// detected phases, and anchored phases, run by run. It also holds
-/// reuse via reconfigure() to fresh-detector output, and the anchor
-/// scans to the reference at both ends of the TW.
+/// detected phases, and anchored phases, run by run. It also holds an
+/// instance reused across traces to fresh-detector output, and the
+/// anchor scans to the reference at both ends of the TW.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -161,7 +161,7 @@ TEST(FastDetectorTest, DescribeMatchesReferenceWithFastSuffix) {
   for (const DetectorConfig &Config : differentialConfigs()) {
     std::unique_ptr<PhaseDetector> Reference =
         makeDetector(Config, B.Trace.numSites());
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Config, B.Trace.numSites());
     EXPECT_EQ(Fast->describe(), Reference->describe() + " [fast]");
     EXPECT_EQ(Fast->batchSize(), Reference->batchSize());
@@ -177,7 +177,7 @@ TEST(FastDetectorTest, BitIdenticalToReferenceAcrossTheConfigSpace) {
   for (const DetectorConfig &Config : Configs) {
     std::unique_ptr<PhaseDetector> Reference =
         makeDetector(Config, B.Trace.numSites());
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Config, B.Trace.numSites());
     DetectorRun ReferenceRun = runDetector(*Reference, B.Trace);
     DetectorRun FastRun = runDetector(*Fast, B.Trace);
@@ -185,26 +185,23 @@ TEST(FastDetectorTest, BitIdenticalToReferenceAcrossTheConfigSpace) {
   }
 }
 
-// Arena lifetime rule: a reconfigure()d instance must behave exactly
-// like a freshly constructed one, across heterogeneous parameters and
-// with state left over from a previous trace run.
-TEST(FastDetectorTest, ReconfiguredArenaMatchesFreshDetectors) {
+// Reuse rule: runDetector() resets the detector, so an instance that
+// already streamed one trace must produce exactly a fresh instance's
+// output on the next, with the state of a long previous run left behind.
+TEST(FastDetectorTest, ResetReuseMatchesFreshDetectors) {
   const BenchmarkData &B = testBenchmark();
-  std::array<std::unique_ptr<FastDetectorBase>, NumFastShapes> Arena;
-  DetectorRun ArenaRun;
+  BranchTrace Second = makeDisjointBlockTrace();
+  ASSERT_LE(Second.numSites(), B.Trace.numSites());
+  DetectorRun ReusedRun;
   for (const DetectorConfig &Config : differentialConfigs()) {
-    std::unique_ptr<FastDetectorBase> &Slot =
-        Arena[fastShapeIndex(Config)];
-    if (Slot)
-      Slot->reconfigure(Config);
-    else
-      Slot = makeFastDetector(Config, B.Trace.numSites());
-
-    std::unique_ptr<FastDetectorBase> Fresh =
+    std::unique_ptr<OnlineDetector> Reused =
         makeFastDetector(Config, B.Trace.numSites());
-    runDetector(*Slot, B.Trace, ArenaRun);
-    DetectorRun FreshRun = runDetector(*Fresh, B.Trace);
-    expectRunsEqual(FreshRun, ArenaRun, Config);
+    runDetector(*Reused, B.Trace, ReusedRun);
+    runDetector(*Reused, Second, ReusedRun);
+
+    std::unique_ptr<OnlineDetector> Fresh =
+        makeFastDetector(Config, B.Trace.numSites());
+    expectRunsEqual(runDetector(*Fresh, Second), ReusedRun, Config);
   }
 }
 
@@ -221,7 +218,7 @@ TEST(FastDetectorTest, PartialTrailingBatchMatchesReference) {
   Config.AnalyzerParam = 0.6;
   std::unique_ptr<PhaseDetector> Reference =
       makeDetector(Config, B.Trace.numSites());
-  std::unique_ptr<FastDetectorBase> Fast =
+  std::unique_ptr<OnlineDetector> Fast =
       makeFastDetector(Config, B.Trace.numSites());
   DetectorRun ReferenceRun = runDetector(*Reference, B.Trace);
   DetectorRun FastRun = runDetector(*Fast, B.Trace);
@@ -240,7 +237,7 @@ TEST(FastDetectorTest, AnchorScansReachBothTWEndsBitIdentical) {
         makeDetector(Config, Trace.numSites());
     AnchorEndObserver Ends(Config.Window);
     DetectorRun ReferenceRun = runDetector(*Reference, Trace, &Ends);
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Config, Trace.numSites());
     expectRunsEqual(ReferenceRun, runDetector(*Fast, Trace), Config);
     if (Config.Window.TWPolicy == TWPolicyKind::Constant) {

@@ -348,7 +348,7 @@ TEST(KernelBoundsTest, ShadowRunStaysWithinCertifiedBounds) {
     expectObservationsWithin(ReferenceProbe, Cert, Config, "reference");
 
     KernelValueProbe FastProbe;
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeCheckedFastDetector(Config, B.Trace.numSites(), FastProbe);
     runDetector(*Fast, B.Trace);
     expectObservationsWithin(FastProbe, Cert, Config, "fast");

@@ -118,8 +118,7 @@ void expectRunsEqual(const DetectorRun &Reference, const DetectorRun &Streamed,
 /// it to completion, and returns the decoded events.
 StreamedRun serveWhole(const DetectorConfig &Config, SiteIndex NumSites,
                        const std::vector<SiteIndex> &Elements) {
-  DetectorCache Cache;
-  ServeSession Sess(/*Id=*/1, ServeLimits(), Cache);
+  ServeSession Sess(/*Id=*/1, ServeLimits());
   std::vector<uint8_t> Wire = helloBytes(Config, NumSites, HelloWantAnchors);
   appendElements(Wire, Elements.data(), Elements.size());
   appendFinish(Wire);
@@ -167,8 +166,7 @@ void runEquivalence(const DetectorConfig &Config, size_t ElementsPerFrame,
                     size_t FeedBytes, size_t PumpBudget,
                     const std::string &What) {
   const BranchTrace &Trace = testTrace().Trace;
-  DetectorCache Cache;
-  ServeSession Sess(/*Id=*/1, ServeLimits(), Cache);
+  ServeSession Sess(/*Id=*/1, ServeLimits());
 
   // Encode the whole client side of the conversation...
   std::vector<uint8_t> Wire =
@@ -346,7 +344,6 @@ TEST(PhaseEdgesTest, SameEventStreamFromRunnerMonitorAndSession) {
 }
 
 TEST(ServeSession, HandshakeRejectsInvalidConfigs) {
-  DetectorCache Cache;
   const SiteIndex Sites = 100;
 
   struct Case {
@@ -373,11 +370,12 @@ TEST(ServeSession, HandshakeRejectsInvalidConfigs) {
   };
   uint64_t Id = 10;
   for (const Case &C : Cases) {
-    ServeSession Sess(Id++, ServeLimits(), Cache);
+    ServeSession Sess(Id++, ServeLimits());
     std::vector<uint8_t> Hello = helloBytes(C.Config, C.NumSites);
     EXPECT_FALSE(Sess.feed(Hello.data(), Hello.size())) << C.Name;
     EXPECT_TRUE(Sess.failed()) << C.Name;
     EXPECT_EQ(Sess.error(), C.Expect) << C.Name;
+    EXPECT_FALSE(Sess.handshakeAccepted()) << C.Name;
 
     StreamedRun Run;
     std::vector<uint8_t> Out;
@@ -387,14 +385,10 @@ TEST(ServeSession, HandshakeRejectsInvalidConfigs) {
     EXPECT_EQ(Run.Err.Code, C.Expect) << C.Name;
     EXPECT_FALSE(Run.Err.Message.empty()) << C.Name;
   }
-  // Rejected handshakes never touched the detector cache.
-  EXPECT_EQ(Cache.stats().Misses, 0u);
-  EXPECT_EQ(Cache.stats().Hits, 0u);
 }
 
 TEST(ServeSession, ElementsBeforeHandshakeFails) {
-  DetectorCache Cache;
-  ServeSession Sess(1, ServeLimits(), Cache);
+  ServeSession Sess(1, ServeLimits());
   SiteIndex E[] = {1, 2, 3};
   std::vector<uint8_t> Wire;
   appendElements(Wire, E, 3);
@@ -403,8 +397,7 @@ TEST(ServeSession, ElementsBeforeHandshakeFails) {
 }
 
 TEST(ServeSession, OutOfRangeElementFails) {
-  DetectorCache Cache;
-  ServeSession Sess(1, ServeLimits(), Cache);
+  ServeSession Sess(1, ServeLimits());
   std::vector<uint8_t> Wire = helloBytes(baseConfig(), /*NumSites=*/10);
   SiteIndex E[] = {1, 2, 10}; // 10 is outside [0, 10).
   appendElements(Wire, E, 3);
@@ -413,16 +406,15 @@ TEST(ServeSession, OutOfRangeElementFails) {
 }
 
 TEST(ServeSession, DuplicateHelloAndFinishFail) {
-  DetectorCache Cache;
   {
-    ServeSession Sess(1, ServeLimits(), Cache);
+    ServeSession Sess(1, ServeLimits());
     std::vector<uint8_t> Wire = helloBytes(baseConfig(), 10);
     ASSERT_TRUE(Sess.feed(Wire.data(), Wire.size()));
     EXPECT_FALSE(Sess.feed(Wire.data(), Wire.size()));
     EXPECT_EQ(Sess.error(), ServeError::BadState);
   }
   {
-    ServeSession Sess(2, ServeLimits(), Cache);
+    ServeSession Sess(2, ServeLimits());
     std::vector<uint8_t> Wire = helloBytes(baseConfig(), 10);
     appendFinish(Wire);
     appendFinish(Wire);
@@ -432,10 +424,9 @@ TEST(ServeSession, DuplicateHelloAndFinishFail) {
 }
 
 TEST(ServeSession, BackpressureWatermarks) {
-  DetectorCache Cache;
   ServeLimits Limits;
   Limits.MaxPendingElements = 1000;
-  ServeSession Sess(1, Limits, Cache);
+  ServeSession Sess(1, Limits);
 
   DetectorConfig C = baseConfig();
   C.Window.SkipFactor = 10;
@@ -457,8 +448,7 @@ TEST(ServeSession, BackpressureWatermarks) {
 
 TEST(ServeSession, EvictionDeliversDecidableTransitionsOnly) {
   const BranchTrace &Trace = testTrace().Trace;
-  DetectorCache Cache;
-  ServeSession Sess(1, ServeLimits(), Cache);
+  ServeSession Sess(1, ServeLimits());
 
   DetectorConfig C = baseConfig();
   C.Window.SkipFactor = 100;
@@ -485,8 +475,7 @@ TEST(ServeSession, EvictionDeliversDecidableTransitionsOnly) {
 
 TEST(ServeSession, ShutdownDrainsPendingTransitions) {
   const BranchTrace &Trace = testTrace().Trace;
-  DetectorCache Cache;
-  ServeSession Sess(1, ServeLimits(), Cache);
+  ServeSession Sess(1, ServeLimits());
 
   DetectorConfig C = baseConfig();
   C.Window.SkipFactor = 1; // Decisions (and flips) at every element.
@@ -530,8 +519,7 @@ TEST(ServeSession, ShutdownDrainsPendingTransitions) {
 
 TEST(ServeSession, ShutdownCompletesDrainingSession) {
   const BranchTrace &Trace = testTrace().Trace;
-  DetectorCache Cache;
-  ServeSession Sess(1, ServeLimits(), Cache);
+  ServeSession Sess(1, ServeLimits());
 
   DetectorConfig C = baseConfig();
   C.Window.SkipFactor = 100;
@@ -556,8 +544,7 @@ TEST(ServeSession, ShutdownCompletesDrainingSession) {
 }
 
 TEST(ServeSession, ProgressTracksIngestNotDecisions) {
-  DetectorCache Cache;
-  ServeSession Sess(1, ServeLimits(), Cache);
+  ServeSession Sess(1, ServeLimits());
 
   DetectorConfig C = baseConfig();
   C.Window.SkipFactor = 1000; // Far larger than what we send.
@@ -580,25 +567,44 @@ TEST(ServeSession, ProgressTracksIngestNotDecisions) {
   EXPECT_EQ(Sess.elementsProcessed(), 0u);
 }
 
-TEST(ServeSession, DetectorCacheReusesAcrossSessions) {
+TEST(ServeSession, BackToBackSessionsOfDifferentShapesMatchOffline) {
   const BranchTrace &Trace = testTrace().Trace;
-  DetectorCache Cache;
-  DetectorConfig C = baseConfig();
-  C.Window.SkipFactor = 50;
+  struct Round {
+    ModelKind Model;
+    TWPolicyKind Policy;
+    AnalyzerKind Analyzer;
+    double Param;
+    uint32_t Skip;
+    SiteIndex ExtraSites;
+  };
+  // Each session gets its own detector, so no round may see state from
+  // the one before, whatever its shape or site-space size.
+  const Round Rounds[] = {
+      {ModelKind::WeightedSet, TWPolicyKind::Constant, AnalyzerKind::Threshold,
+       0.6, 50, 0},
+      {ModelKind::UnweightedSet, TWPolicyKind::Adaptive,
+       AnalyzerKind::Average, 0.3, 1, 1000},
+      {ModelKind::ManhattanBBV, TWPolicyKind::Adaptive,
+       AnalyzerKind::Hysteresis, 0.6, 7, 17},
+  };
+  uint64_t Id = 1;
+  for (const Round &R : Rounds) {
+    DetectorConfig C = baseConfig();
+    C.Model = R.Model;
+    C.Window.TWPolicy = R.Policy;
+    C.Window.SkipFactor = R.Skip;
+    C.TheAnalyzer = R.Analyzer;
+    C.AnalyzerParam = R.Param;
+    SiteIndex Sites = Trace.numSites() + R.ExtraSites;
+    std::unique_ptr<PhaseDetector> Ref = makeDetector(C, Sites);
+    DetectorRun Reference = runDetector(*Ref, Trace);
 
-  DetectorRun Reference;
-  {
-    std::unique_ptr<PhaseDetector> Ref = makeDetector(C, Trace.numSites());
-    Reference = runDetector(*Ref, Trace);
-  }
-
-  for (int Round = 0; Round != 3; ++Round) {
-    ServeSession Sess(uint64_t(Round + 1), ServeLimits(), Cache);
-    std::vector<uint8_t> Wire =
-        helloBytes(C, Trace.numSites(), HelloWantAnchors);
+    ServeSession Sess(Id, ServeLimits());
+    std::vector<uint8_t> Wire = helloBytes(C, Sites, HelloWantAnchors);
     appendElements(Wire, Trace.elements().data(), Trace.size());
     appendFinish(Wire);
     ASSERT_TRUE(Sess.feed(Wire.data(), Wire.size()));
+    EXPECT_TRUE(Sess.handshakeAccepted());
     while (Sess.pump()) {
     }
     ASSERT_TRUE(Sess.done());
@@ -608,14 +614,10 @@ TEST(ServeSession, DetectorCacheReusesAcrossSessions) {
     StreamedRun Run;
     collectEvents(Out, Run);
     ASSERT_TRUE(Run.GotFinished);
-    DetectorRun Streamed = streamedToDetectorRun(Run);
-    expectRunsEqual(Reference, Streamed,
-                    "cache round " + std::to_string(Round));
+    expectRunsEqual(Reference, streamedToDetectorRun(Run),
+                    "session " + std::to_string(Id));
+    ++Id;
   }
-  // Round 1 built the detector; rounds 2 and 3 reconfigured it.
-  EXPECT_EQ(Cache.stats().Misses, 1u);
-  EXPECT_EQ(Cache.stats().Hits, 2u);
-  EXPECT_EQ(Cache.stats().Releases, 3u);
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/DetectorCache.h"
 #include "serve/Protocol.h"
 #include "serve/Session.h"
 
@@ -58,9 +57,8 @@ std::vector<uint8_t> frameWithPayload(uint8_t Kind,
 void expectPayloadTruncationFails(uint8_t Kind,
                                   const std::vector<uint8_t> &Full,
                                   size_t Boundary, bool HandshakeFirst) {
-  DetectorCache Cache;
   ServeLimits Limits;
-  ServeSession Sess(1, Limits, Cache);
+  ServeSession Sess(1, Limits);
   if (HandshakeFirst) {
     std::vector<uint8_t> Hello = helloBytes();
     ASSERT_TRUE(Sess.feed(Hello.data(), Hello.size()));
@@ -110,9 +108,8 @@ TEST(ServeTruncation, PartialDeliveryNeverFailsTheSession) {
   // Deliver a valid handshake one byte at a time: the session must wait
   // at every prefix (header and payload alike) and accept at the end.
   std::vector<uint8_t> Hello = helloBytes();
-  DetectorCache Cache;
   ServeLimits Limits;
-  ServeSession Sess(1, Limits, Cache);
+  ServeSession Sess(1, Limits);
   for (size_t I = 0; I != Hello.size(); ++I) {
     ASSERT_TRUE(Sess.feed(&Hello[I], 1));
     if (I + 1 != Hello.size()) {
@@ -169,10 +166,9 @@ TEST(ServeTruncation, ElementsPayloadBoundaries) {
 TEST(ServeTruncation, ElementsCountMismatchFails) {
   // A structurally complete payload whose count disagrees with its
   // length in either direction.
-  DetectorCache Cache;
   ServeLimits Limits;
   for (uint32_t Claim : {3u, 1u, 0u}) {
-    ServeSession Sess(1, Limits, Cache);
+    ServeSession Sess(1, Limits);
     std::vector<uint8_t> Hello = helloBytes();
     ASSERT_TRUE(Sess.feed(Hello.data(), Hello.size()));
     std::vector<uint8_t> Payload;
@@ -192,9 +188,8 @@ TEST(ServeTruncation, ElementsCountMismatchFails) {
 TEST(ServeTruncation, FinishPayloadMustBeEmpty) {
   // Finish's only boundary is zero: any payload byte is structural
   // garbage.
-  DetectorCache Cache;
   ServeLimits Limits;
-  ServeSession Sess(1, Limits, Cache);
+  ServeSession Sess(1, Limits);
   std::vector<uint8_t> Hello = helloBytes();
   ASSERT_TRUE(Sess.feed(Hello.data(), Hello.size()));
   std::vector<uint8_t> Bytes =

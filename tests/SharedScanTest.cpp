@@ -191,7 +191,7 @@ TEST(SharedScanTest, BitIdenticalToFastAndReferenceAcrossTheConfigSpace) {
 
   for (size_t I = 0; I != Configs.size(); ++I) {
     const DetectorConfig &Config = Configs[I];
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Config, B.Trace.numSites());
     DetectorRun FastRun = runDetector(*Fast, B.Trace);
     expectRunsEqual(FastRun, Shared[I], Config, "shared vs fast");
@@ -240,7 +240,7 @@ TEST(SharedScanTest, StrideAndWindowCornerCases) {
 
   std::vector<DetectorRun> Shared = runShared(Configs, B.Trace);
   for (size_t I = 0; I != Configs.size(); ++I) {
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Configs[I], B.Trace.numSites());
     DetectorRun FastRun = runDetector(*Fast, B.Trace);
     expectRunsEqual(FastRun, Shared[I], Configs[I], "corner");
@@ -396,7 +396,7 @@ TEST(SharedScanTest, AnchorScansAtBothTWEndsMatchFastAndReference) {
 
   std::vector<DetectorRun> Shared = runShared(Configs, Trace);
   for (size_t I = 0; I != Configs.size(); ++I) {
-    std::unique_ptr<FastDetectorBase> Fast =
+    std::unique_ptr<OnlineDetector> Fast =
         makeFastDetector(Configs[I], Trace.numSites());
     expectRunsEqual(runDetector(*Fast, Trace), Shared[I], Configs[I],
                     "blocks vs fast");
