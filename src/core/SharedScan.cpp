@@ -26,21 +26,41 @@
 //     position n + (CWSize-Keep) + TWSize the refilled windows hold
 //     exactly the last CWSize elements and the TWSize before them:
 //     the free-running window again (1). So a flushed cursor stores
-//     ResyncAt = n + (CWSize-Keep) + TWSize and is a pure countdown.
+//     ResyncAt = n + (CWSize-Keep) + TWSize. A forced evaluation leaves
+//     the analyzer and the edge state alone and only extends the
+//     Transition run the P->T evaluation opened by its batch length, so
+//     the engine parks the cursor at n and, at the first evaluation at
+//     or after ResyncAt (covering L elements at N), credits the run
+//     with the (N - L) - n elements it skipped; a cursor still parked
+//     at the end is credited up to the trace end. The same holds from
+//     the start of the trace, with n = 0 and ResyncAt = CWSize+TWSize.
+//     When no cursor is active and none resyncs inside the trace, no
+//     output can change any more and the scan stops.
 //
 //  3. In phase, an adaptive model diverges: startPhase() drops the TW
 //     prefix at the anchor (optionally sliding CW elements across), and
 //     InPhaseGrowth makes every subsequent consume grow the TW. But
-//     none of that depends on any later decision — the evolution is a
-//     pure function of (entry position, anchor value, resize kind) and
-//     the trace. That tuple keys the engine's refcounted shards: a
-//     shard seeds its kernel from the shared kernel (phase entry only
-//     happens synced, where the cursor's window IS the shared window by
-//     (1)), applies startPhase's resize, and then consumes with the
-//     in-phase specialization of the reference consume (TWGrows is
-//     unconditionally true, endPhase never reads the buffer beyond the
-//     kept seed). While a phase is open the reference windowsFull() is
-//     TWLen>0 && CWLen>0, which the shard checks before each decision.
+//     none of that depends on any later decision, and the windows stay
+//     contiguous: TW = trace[Base, Base+TWLen), CW = the rest up to the
+//     current position. At a given position they are fixed by (Base,
+//     CWLen), and so is every later window, since the in-phase consume
+//     only reads its own windows. The kernels decide from window
+//     contents only (count arrays; the weighted kernel's deferred
+//     similarityAtLeast is documented bit-identical to the exact
+//     recompute, and its MinSum is exact integer arithmetic), so two
+//     shards with equal (Base, CWLen) at one position decide alike from
+//     then on. That is the key the engine's refcounted shards use: a
+//     cursor entering a phase joins any active shard with its Base and
+//     CWLen once that shard is advanced to the entry position, and a
+//     Slide shard whose CW has refilled merges into a full shard with
+//     the same Base. A new shard seeds its kernel from the shared kernel
+//     (phase entry only happens synced, where the cursor's window IS the
+//     shared window by (1)), applies startPhase's resize, and then
+//     consumes with the in-phase specialization of the reference
+//     consume (TWGrows is unconditionally true, endPhase never reads the
+//     buffer beyond the kept seed). While a phase is open the reference
+//     windowsFull() is TWLen>0 && CWLen>0, which the shard checks before
+//     each decision.
 //
 //  4. Constant-TW models also flush at endPhase, but in phase their
 //     consume path is the free-running one (TWGrows is false once the
@@ -105,7 +125,8 @@ class SharedScanEngine final : public SharedScanEngineBase {
   /// copied at phase entry and resized per the anchor, advancing lazily
   /// to its cursors' evaluation positions. Window layout invariant:
   /// TW = Elements[Base, Base+TWLen), CW = Elements[Base+TWLen, LastPos)
-  /// with Base + TWLen + CWLen == LastPos.
+  /// with Base + TWLen + CWLen == LastPos — so at a given LastPos the
+  /// windows, and with them every decision, are fixed by (Base, CWLen).
   struct Shard {
     /// The detached kernel (assignment reuses its arrays).
     Kernel K;
@@ -117,13 +138,9 @@ class SharedScanEngine final : public SharedScanEngineBase {
     uint64_t CWLen = 0;
     /// Elements consumed so far (lazy advance high-water mark).
     uint64_t LastPos = 0;
-    /// Sharing key: the evaluation position the phase opened at...
-    uint64_t EntryPos = 0;
-    /// ...the anchor value applied at entry...
-    uint64_t AnchorVal = 0;
-    /// ...and the resize policy (equal anchors evolve identically
-    /// regardless of which anchor *kind* produced them).
-    ResizeKind Resize = ResizeKind::Slide;
+    /// Set while a Slide resize's CW refills; the first evaluation that
+    /// sees it full merges the shard into a full twin (mergeRefilled).
+    bool Refilling = false;
     /// Cursors currently reading this shard.
     uint32_t Refs = 0;
 
@@ -148,6 +165,8 @@ class SharedScanEngine final : public SharedScanEngineBase {
     /// First position at which the windows are full again (out of
     /// phase, evaluations before this are forced Transitions).
     uint64_t ResyncAt = 0;
+    /// The last evaluation position before the cursor parked.
+    uint64_t ParkedFrom = 0;
     /// The anchored phase-start estimate set at the last T->P edge.
     uint64_t LastAnchor = 0;
     /// Non-null iff adaptive and in phase.
@@ -168,12 +187,34 @@ class SharedScanEngine final : public SharedScanEngineBase {
     std::vector<uint64_t> *Anchored = nullptr;
   };
 
-  /// Cursors sharing a skip stride, evaluated in lockstep.
+  /// A refilling cursor waiting in its bucket's heap.
+  struct ParkedCursor {
+    uint64_t ResyncAt;
+    uint32_t Idx;
+    /// Orders std::push_heap/pop_heap as a min-heap on ResyncAt.
+    friend bool operator<(const ParkedCursor &A, const ParkedCursor &B) {
+      return A.ResyncAt > B.ResyncAt;
+    }
+  };
+
+  /// Cursors sharing a skip stride, evaluated in lockstep at the
+  /// multiples of the stride.
   struct Bucket {
     uint64_t Skip = 0;
-    /// The next position this bucket evaluates at.
+    /// The next position this bucket evaluates at (UINT64_MAX: never).
     uint64_t NextEval = 0;
-    std::vector<uint32_t> Cursors;
+    /// Cursors evaluated at every lattice point.
+    std::vector<uint32_t> Active;
+    /// Cursors refilling after a flush (or at startup), a min-heap on
+    /// ResyncAt: each of their evaluations would be a forced Transition
+    /// that only extends the pending Transition run, so they skip them.
+    std::vector<ParkedCursor> Parked;
+
+    /// True if an evaluation at \p N would evaluate any cursor.
+    bool dueAt(uint64_t N) const {
+      return !Active.empty() ||
+             (!Parked.empty() && Parked.front().ResyncAt <= N);
+    }
   };
 
 public:
@@ -191,32 +232,45 @@ public:
     this->Elements = Elements;
     this->NumElements = NumElements;
 
-    // Main loop: advance the shared window in eval-to-eval bursts.
+    // Main loop: advance the shared window in eval-to-eval bursts. Once
+    // every lattice point left lies past the trace end — in particular
+    // when nothing is active and no parked cursor resyncs inside the
+    // trace — the window stops where it is.
     uint64_t Pos = 0;
-    while (Pos < NumElements) {
-      uint64_t Target = NumElements;
+    for (;;) {
+      uint64_t Target = UINT64_MAX;
       for (const Bucket &B : Buckets)
-        Target = std::min<uint64_t>(Target, B.NextEval);
+        Target = std::min(Target, B.NextEval);
+      if (Target > NumElements)
+        break;
       assert(Target > Pos && "evaluation positions must advance");
       consumeSharedTo(Pos, Target);
       Pos = Target;
-      for (Bucket &B : Buckets) {
-        if (B.NextEval != Pos)
-          continue;
-        evalBucket(B, Pos, B.Skip);
-        B.NextEval = Pos + B.Skip;
-      }
+      for (Bucket &B : Buckets)
+        if (B.NextEval == Pos)
+          evalBucket(B, Pos, B.Skip);
     }
 
-    // Trailing partial batches: a bucket whose last full evaluation lies
-    // before the trace end evaluates once more over the short remainder,
-    // exactly like the reference's final short batch. (A skip larger
-    // than the trace degenerates to one short batch covering it all.)
+    // Trailing partial batches: a bucket whose stride does not divide
+    // the trace evaluates once more over the short remainder, exactly
+    // like the reference's final short batch. (A skip larger than the
+    // trace degenerates to one short batch covering it all.)
     for (Bucket &B : Buckets) {
-      uint64_t PrevEval = B.NextEval - B.Skip;
-      if (PrevEval < NumElements)
-        evalBucket(B, NumElements, NumElements - PrevEval);
+      uint64_t Tail = NumElements % B.Skip;
+      if (Tail == 0 || !B.dueAt(NumElements))
+        continue;
+      consumeSharedTo(Pos, NumElements);
+      Pos = NumElements;
+      evalBucket(B, NumElements, Tail);
     }
+
+    // A cursor still parked was forced to Transition over every
+    // evaluation since it parked.
+    for (Bucket &B : Buckets)
+      for (const ParkedCursor &P : B.Parked) {
+        Cursor &C = Cursors[P.Idx];
+        C.RunLen += NumElements - C.ParkedFrom;
+      }
 
     // Flush the pending runs and finalize the per-config outputs.
     for (Cursor &C : Cursors) {
@@ -277,9 +331,12 @@ private:
       C.Anchored->clear();
       C.Anchored->reserve(std::min<size_t>(NumBatches / 2 + 1, 1 << 12));
 
+      // Every cursor starts parked: the windows first fill at CW + TW.
       uint32_t Idx = static_cast<uint32_t>(Cursors.size());
       Cursors.push_back(C);
-      bucketFor(C.Skip).Cursors.push_back(Idx);
+      Bucket &B = bucketFor(C.Skip);
+      B.Parked.push_back(ParkedCursor{C.ResyncAt, Idx});
+      B.NextEval = roundUp(C.ResyncAt, B.Skip);
     }
   }
 
@@ -287,8 +344,13 @@ private:
     for (Bucket &B : Buckets)
       if (B.Skip == Skip)
         return B;
-    Buckets.push_back(Bucket{Skip, Skip, {}});
+    Buckets.push_back(Bucket{Skip, 0, {}, {}});
     return Buckets.back();
+  }
+
+  /// The first multiple of \p Skip at or after \p N.
+  static uint64_t roundUp(uint64_t N, uint64_t Skip) {
+    return (N + Skip - 1) / Skip * Skip;
   }
 
   /// Advances the free-running window over Elements[Pos, Target).
@@ -355,13 +417,21 @@ private:
   }
 
   /// Forks or joins the shard for a phase opening at \p N with anchor
-  /// value \p A under \p Resize.
+  /// value \p A under \p Resize. Any active shard whose windows, brought
+  /// to \p N, hold the same trace slices is joined instead of copied.
   Shard *acquireShard(uint64_t N, uint64_t A, ResizeKind Resize) {
-    for (Shard *S : ActiveShards)
-      if (S->EntryPos == N && S->AnchorVal == A && S->Resize == Resize) {
+    assert(A <= TW && "anchor beyond the trailing window");
+    uint64_t Base = N - CW - TW + A;
+    uint64_t Take = Resize == ResizeKind::Slide ? std::min(A, CW) : 0;
+    for (Shard *S : ActiveShards) {
+      if (S->Base != Base)
+        continue;
+      advanceShard(*S, N);
+      if (S->CWLen == CW - Take) {
         ++S->Refs;
         return S;
       }
+    }
 
     Shard *S;
     if (!FreeShards.empty()) {
@@ -374,37 +444,42 @@ private:
 
     // Seed from the shared window (the entering cursor's window is the
     // shared window — phase entry only happens synced), then apply
-    // startPhase's anchor resize.
+    // startPhase's anchor resize: dropTWPrefix(A), and for Slide move
+    // Take = min(A, pre-slide CW length) elements across into the TW.
     S->K = SharedKernel;
-    S->Base = N - CW - TW;
-    S->TWLen = TW;
-    S->CWLen = CW;
+    for (uint64_t I = N - CW - TW; I != Base; ++I)
+      S->K.twRemove(Elements[I]);
+    for (uint64_t I = 0; I != Take; ++I)
+      S->K.moveCWToTW(Elements[N - CW + I]);
+    S->Base = Base;
+    S->TWLen = TW - A + Take;
+    S->CWLen = CW - Take;
     S->LastPos = N;
-    S->EntryPos = N;
-    S->AnchorVal = A;
-    S->Resize = Resize;
+    S->Refilling = Take != 0;
     S->Refs = 1;
-
-    // dropTWPrefix(A).
-    assert(A <= S->TWLen && "anchor beyond the trailing window");
-    for (uint64_t I = 0; I != A; ++I)
-      S->K.twRemove(Elements[S->Base + I]);
-    S->Base += A;
-    S->TWLen -= A;
-    if (Resize == ResizeKind::Slide) {
-      // Slide the TW right across the CW, as startPhase: Take computed
-      // against the pre-slide CW length.
-      uint64_t Take = std::min<uint64_t>(A, S->CWLen);
-      for (uint64_t I = 0; I != Take; ++I) {
-        SiteIndex X = Elements[S->Base + S->TWLen];
-        S->K.moveCWToTW(X);
-        ++S->TWLen;
-        --S->CWLen;
-      }
-    }
-
     ActiveShards.push_back(S);
     return S;
+  }
+
+  /// Called once \p S, a Slide shard, has refilled its CW at \p N: a
+  /// full shard with the same Base now holds the same windows, so the
+  /// two merge and S's cursors move over.
+  void mergeRefilled(Shard &S, uint64_t N) {
+    S.Refilling = false;
+    for (Shard *T : ActiveShards) {
+      if (T == &S || T->Base != S.Base)
+        continue;
+      advanceShard(*T, N);
+      if (T->CWLen != CW)
+        continue;
+      T->Refs += S.Refs;
+      for (Cursor &C : Cursors)
+        if (C.Sh == &S)
+          C.Sh = T;
+      S.Refs = 1; // The last reference, which the release drops.
+      releaseShard(&S);
+      return;
+    }
   }
 
   void releaseShard(Shard *S) {
@@ -438,31 +513,63 @@ private:
     S.LastPos = N;
   }
 
+  /// Evaluates bucket \p B at \p N covering \p L elements and sets its
+  /// next evaluation position.
   void evalBucket(Bucket &B, uint64_t N, uint64_t L) {
     if (CachePos != N) {
       CachePos = N;
       SimValid = false;
       AnchorValid[0] = AnchorValid[1] = false;
     }
-    for (uint32_t Idx : B.Cursors)
-      evalCursor(Cursors[Idx], N, L);
+    // Unpark the cursors whose windows have refilled, crediting their
+    // pending Transition run with the evaluations they skipped.
+    while (!B.Parked.empty() && B.Parked.front().ResyncAt <= N) {
+      std::pop_heap(B.Parked.begin(), B.Parked.end());
+      uint32_t Idx = B.Parked.back().Idx;
+      B.Parked.pop_back();
+      Cursor &C = Cursors[Idx];
+      C.RunLen += (N - L) - C.ParkedFrom;
+      B.Active.push_back(Idx);
+    }
+    // Evaluate; a cursor whose phase just ended parks until it resyncs.
+    size_t Kept = 0;
+    for (uint32_t Idx : B.Active) {
+      Cursor &C = Cursors[Idx];
+      evalCursor(C, N, L);
+      if (C.State == PhaseState::Transition && C.ResyncAt > N) {
+        C.ParkedFrom = N;
+        B.Parked.push_back(ParkedCursor{C.ResyncAt, Idx});
+        std::push_heap(B.Parked.begin(), B.Parked.end());
+      } else {
+        B.Active[Kept++] = Idx;
+      }
+    }
+    B.Active.resize(Kept);
+    // With nothing active, jump straight to the lattice point of the
+    // first resync.
+    if (!B.Active.empty())
+      B.NextEval = N + B.Skip;
+    else if (!B.Parked.empty())
+      B.NextEval = roundUp(B.Parked.front().ResyncAt, B.Skip);
+    else
+      B.NextEval = UINT64_MAX;
   }
 
   /// One evaluation of \p C at position \p N covering \p L elements —
   /// the cursor replica of FastPhaseDetector::processBatchInline plus
-  /// consumeTrace's run accumulation.
+  /// consumeTrace's run accumulation. Forced-Transition evaluations never
+  /// get here: refilling cursors are parked (evalBucket).
   void evalCursor(Cursor &C, uint64_t N, uint64_t L) {
+    assert((C.State == PhaseState::InPhase || N >= C.ResyncAt) &&
+           "a refilling cursor must be parked");
     PhaseState New = PhaseState::Transition;
     double SimHere = 0.0;
-    if (C.State == PhaseState::Transition && N < C.ResyncAt) {
-      // Refilling after a flush: windows provably not full — forced
-      // Transition, and the analyzer is NOT consulted (the hysteresis
-      // state must survive untouched).
-      New = PhaseState::Transition;
-    } else if (C.Sh) {
+    if (C.Sh) {
       // Adaptive, in phase: decide off the detached shard.
+      advanceShard(*C.Sh, N);
+      if (C.Sh->Refilling && C.Sh->CWLen == CW)
+        mergeRefilled(*C.Sh, N);
       Shard &S = *C.Sh;
-      advanceShard(S, N);
       if (S.TWLen == 0 || S.CWLen == 0) {
         // The in-phase windowsFull(): an anchor drop that emptied the
         // TW (Move) or a slide that emptied the CW forces a Transition.

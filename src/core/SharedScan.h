@@ -29,20 +29,28 @@
 ///    position n keeping K seed elements, the windows provably stay
 ///    not-full (forced Transition output, no analyzer calls) until
 ///    position n + (CWSize - K) + TWSize, at which point the refilled
-///    window bit-matches the free-running one — so a flushed cursor
-///    stores only that resync position and performs zero work until
-///    it passes.
+///    window bit-matches the free-running one. A flushed cursor is
+///    therefore *parked* in a heap keyed by that resync position and
+///    skipped until it passes; on unparking, its pending Transition
+///    run is credited with the elements it skipped. Every cursor starts
+///    parked (the windows first fill at CWSize + TWSize), and once no
+///    cursor is active and none resyncs inside the trace, the pass
+///    stops without walking the rest of it.
 ///  * Only adaptive cursors *inside* a phase have decision-dependent
-///    window state. Each open phase detaches a **shard** — a copy of
-///    the shared kernel at phase entry, resized per the anchor — that
+///    window state. Each open phase holds a **shard** — a copy of the
+///    shared kernel at phase entry, resized per the anchor — that
 ///    advances lazily to the owning cursors' evaluation positions.
-///    Cursors that enter a phase at the same position with the same
-///    anchor value and resize policy share one refcounted shard, since
-///    the in-phase window evolution is decision-independent.
+///    Shards are shared by window content: at a given position a
+///    shard's windows are fixed by its TW start and CW length, so a
+///    cursor entering a phase joins any refcounted shard that holds the
+///    same windows once brought to its position, whatever position and
+///    anchor that shard was forked with, and a Slide shard merges into
+///    a full twin once its CW refills.
 ///
 /// Cursors with the same skip stride advance in lockstep (one
-/// countdown per stride bucket), so the shared window advances through
-/// the trace in tight eval-to-eval bursts.
+/// countdown per stride bucket, which jumps straight to its first
+/// resync while all its cursors are parked), so the shared window
+/// advances through the trace in tight eval-to-eval bursts.
 ///
 /// This engine is the sweep harness's only engine for unobserved runs
 /// (harness/Sweep.h). tests/SharedScanTest.cpp drives the full sweep

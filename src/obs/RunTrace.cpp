@@ -206,8 +206,8 @@ std::vector<PhaseInterval> RunTrace::phases() const {
       Open = true;
     } else if (E.Kind == TraceEventKind::PhaseEnd) {
       assert(Open && "phase end without begin");
-      // An unmatched end (only a malformed loaded trace has one) closes
-      // nothing, as in anchoredPhases().
+      // An unmatched end closes nothing, as in anchoredPhases() (the
+      // JSON and CSV loaders reject timelines that have one).
       if (Open)
         Out.push_back({Begin, E.Offset});
       Open = false;

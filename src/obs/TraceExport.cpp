@@ -475,6 +475,36 @@ bool decodeEventJSON(const JValue &Obj, TraceEvent &E) {
   return false;
 }
 
+/// Rejects a loaded timeline whose phase edges RunTrace::phases() cannot
+/// pair: begins and ends must alternate, starting with a begin, and no
+/// phase may be open at the end (a truncated file leaves one open). The
+/// trace is cleared on failure.
+IOStatus checkPhaseEdges(RunTrace &Trace, const std::string &Path) {
+  const char *Why = nullptr;
+  bool Open = false;
+  for (const TraceEvent &E : Trace.events()) {
+    if (E.Kind == TraceEventKind::PhaseBegin) {
+      if (Open) {
+        Why = "phase begin inside an open phase";
+        break;
+      }
+      Open = true;
+    } else if (E.Kind == TraceEventKind::PhaseEnd) {
+      if (!Open) {
+        Why = "phase end without a begin";
+        break;
+      }
+      Open = false;
+    }
+  }
+  if (!Why && Open)
+    Why = "timeline ends with an open phase";
+  if (!Why)
+    return IOStatus::success();
+  Trace.clear();
+  return IOStatus::failure(Path + ": " + Why);
+}
+
 } // namespace
 
 IOStatus opd::readRunTraceJSON(const std::string &Path, RunTrace &Trace) {
@@ -506,7 +536,7 @@ IOStatus opd::readRunTraceJSON(const std::string &Path, RunTrace &Trace) {
                                std::to_string(I));
     Trace.replayEvent(E);
   }
-  return IOStatus::success();
+  return checkPhaseEdges(Trace, Path);
 }
 
 //===----------------------------------------------------------------------===//
@@ -593,5 +623,5 @@ IOStatus opd::readRunTraceCSV(const std::string &Path, RunTrace &Trace) {
                                std::to_string(LineNo));
     Trace.replayEvent(E);
   }
-  return IOStatus::success();
+  return checkPhaseEdges(Trace, Path);
 }

@@ -45,7 +45,9 @@ IOStatus writeRunTraceJSON(const RunTrace &Trace, const std::string &Path);
 
 /// Parses a JSON document produced by writeRunTraceJSON from \p Path into
 /// \p Trace (replacing its contents; counters and phases are rebuilt by
-/// replaying the events).
+/// replaying the events). A timeline whose phase begins and ends do not
+/// pair up, or that ends with a phase open, is rejected and \p Trace is
+/// left empty.
 IOStatus readRunTraceJSON(const std::string &Path, RunTrace &Trace);
 
 /// Writes the CSV timeline to \p Path.
@@ -53,7 +55,8 @@ IOStatus writeRunTraceCSV(const RunTrace &Trace, const std::string &Path);
 
 /// Parses a CSV timeline produced by writeRunTraceCSV from \p Path into
 /// \p Trace (replacing its contents). The CSV format carries no detector
-/// description; the field is left empty.
+/// description; the field is left empty. Phase edges are checked as by
+/// readRunTraceJSON.
 IOStatus readRunTraceCSV(const std::string &Path, RunTrace &Trace);
 
 } // namespace opd

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 using namespace opd;
 
@@ -54,6 +55,48 @@ IOStatus checkHeader(std::FILE *F, const char (&Magic)[4],
   return IOStatus::success();
 }
 
+/// The bytes between the current position of \p F and its end, or false
+/// if the stream cannot tell (it is not seekable).
+bool bytesLeft(std::FILE *F, uint64_t &Left) {
+  long Here = std::ftell(F);
+  if (Here < 0 || std::fseek(F, 0, SEEK_END) != 0)
+    return false;
+  long End = std::ftell(F);
+  if (End < Here || std::fseek(F, Here, SEEK_SET) != 0)
+    return false;
+  Left = static_cast<uint64_t>(End - Here);
+  return true;
+}
+
+/// Checks decoded call-loop events against CallLoopTrace's invariants
+/// before they are appended: offsets never decrease, and every exit
+/// closes the innermost open enter of its kind and id. Enters still open
+/// at the end are allowed (a halted run stops inside them).
+class CallLoopEventCheck {
+  std::vector<CallLoopEvent> Open;
+  uint64_t LastOffset = 0;
+
+public:
+  /// The reason the next event (\p Kind, \p Id, \p Offset) is rejected,
+  /// or nullptr if it is well placed.
+  const char *check(CallLoopEventKind Kind, uint32_t Id, uint64_t Offset) {
+    if (Offset < LastOffset)
+      return "event out of time order";
+    LastOffset = Offset;
+    if (isEnterEvent(Kind)) {
+      Open.push_back({Kind, Id, Offset});
+      return nullptr;
+    }
+    CallLoopEventKind Enter = isLoopEvent(Kind)
+                                  ? CallLoopEventKind::LoopEnter
+                                  : CallLoopEventKind::MethodEnter;
+    if (Open.empty() || Open.back().Kind != Enter || Open.back().Id != Id)
+      return "improperly nested event";
+    Open.pop_back();
+    return nullptr;
+  }
+};
+
 } // namespace
 
 IOStatus opd::writeBranchTraceBinary(const BranchTrace &Trace,
@@ -85,8 +128,18 @@ IOStatus opd::readBranchTraceBinary(const std::string &Path,
   uint64_t Count = 0;
   if (!readScalar(F.get(), Count))
     return IOStatus::failure("'" + Path + "': truncated header");
+  // The header count is untrusted: check it against the file size before
+  // reserving for it.
+  uint64_t Left = 0;
+  bool Sized = bytesLeft(F.get(), Left);
+  uint64_t Fits = Left / sizeof(uint32_t);
+  if (Sized && Count > Fits)
+    return IOStatus::failure(
+        "'" + Path + "': truncated element stream (" + std::to_string(Count) +
+        " elements in the header, " + std::to_string(Fits) + " in the file)");
   BranchTrace Result;
-  Result.reserve(Count);
+  if (Sized)
+    Result.reserve(Count);
   for (uint64_t I = 0; I != Count; ++I) {
     uint32_t Raw = 0;
     if (!readScalar(F.get(), Raw))
@@ -169,6 +222,7 @@ IOStatus opd::readCallLoopTraceBinary(const std::string &Path,
   if (!readScalar(F.get(), Count))
     return IOStatus::failure("'" + Path + "': truncated header");
   CallLoopTrace Result;
+  CallLoopEventCheck Check;
   for (uint64_t I = 0; I != Count; ++I) {
     uint8_t Kind = 0;
     uint32_t Id = 0;
@@ -178,6 +232,10 @@ IOStatus opd::readCallLoopTraceBinary(const std::string &Path,
       return IOStatus::failure("'" + Path + "': truncated event stream");
     if (Kind > static_cast<uint8_t>(CallLoopEventKind::MethodExit))
       return IOStatus::failure("'" + Path + "': invalid event kind");
+    if (const char *Why =
+            Check.check(static_cast<CallLoopEventKind>(Kind), Id, Offset))
+      return IOStatus::failure("'" + Path + "': " + Why + " at index " +
+                               std::to_string(I));
     Result.append(static_cast<CallLoopEventKind>(Kind), Id, Offset);
   }
   Trace = std::move(Result);
@@ -208,6 +266,7 @@ IOStatus opd::readCallLoopTraceText(const std::string &Path,
   if (!F)
     return Status;
   CallLoopTrace Result;
+  CallLoopEventCheck Check;
   char Line[256];
   uint64_t LineNo = 0;
   while (std::fgets(Line, sizeof(Line), F.get())) {
@@ -231,6 +290,9 @@ IOStatus opd::readCallLoopTraceText(const std::string &Path,
       Kind = CallLoopEventKind::MethodExit;
     else
       return IOStatus::failure("'" + Path + "': unknown mnemonic at line " +
+                               std::to_string(LineNo));
+    if (const char *Why = Check.check(Kind, Id, Offset))
+      return IOStatus::failure("'" + Path + "': " + Why + " at line " +
                                std::to_string(LineNo));
     Result.append(Kind, Id, Offset);
   }

@@ -222,6 +222,101 @@ TEST(TraceIOEdgeTest, InvalidEventKindRejected) {
   EXPECT_NE(S.Message.find("invalid event kind"), std::string::npos);
 }
 
+// A header count the file cannot hold must fail cleanly instead of
+// reserving for it (a count near 2^64 used to throw std::bad_alloc).
+TEST(TraceIOEdgeTest, HeaderCountBeyondFileSizeFails) {
+  TempFile F("count.bin");
+  BranchTrace Trace;
+  for (int I = 0; I != 10; ++I)
+    Trace.append(ProfileElement(1, static_cast<uint32_t>(I), true));
+  ASSERT_TRUE(writeBranchTraceBinary(Trace, F.path()));
+  for (uint64_t Count : {uint64_t{11}, uint64_t{1} << 62, UINT64_MAX}) {
+    // The count follows the 4-byte magic and the 4-byte version.
+    std::FILE *Raw = std::fopen(F.path().c_str(), "rb+");
+    ASSERT_NE(Raw, nullptr);
+    std::fseek(Raw, 8, SEEK_SET);
+    std::fwrite(&Count, sizeof(Count), 1, Raw);
+    std::fclose(Raw);
+    BranchTrace Loaded;
+    IOStatus S = readBranchTraceBinary(F.path(), Loaded);
+    EXPECT_FALSE(S) << Count;
+    EXPECT_NE(S.Message.find("truncated"), std::string::npos) << S.Message;
+  }
+}
+
+namespace {
+
+/// Writes \p Events in the binary call-loop format without going through
+/// CallLoopTrace, so events it would refuse can be written.
+void writeRawCallLoop(const std::string &Path,
+                      const std::vector<CallLoopEvent> &Events) {
+  std::FILE *Raw = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(Raw, nullptr);
+  uint32_t Version = 1;
+  uint64_t Count = Events.size();
+  std::fwrite("OPDC", 1, 4, Raw);
+  std::fwrite(&Version, sizeof(Version), 1, Raw);
+  std::fwrite(&Count, sizeof(Count), 1, Raw);
+  for (const CallLoopEvent &E : Events) {
+    uint8_t Kind = static_cast<uint8_t>(E.Kind);
+    std::fwrite(&Kind, 1, 1, Raw);
+    std::fwrite(&E.Id, sizeof(E.Id), 1, Raw);
+    std::fwrite(&E.Offset, sizeof(E.Offset), 1, Raw);
+  }
+  std::fclose(Raw);
+}
+
+} // namespace
+
+// Call-loop events must come in time order and nest properly; enters
+// left open at the end (a halted run) are still accepted.
+TEST(TraceIOEdgeTest, CallLoopEventsOutOfOrderOrMisnestedRejected) {
+  using K = CallLoopEventKind;
+  struct Case {
+    const char *Why;
+    std::vector<CallLoopEvent> Events;
+  };
+  std::vector<Case> Cases = {
+      {"out of time order",
+       {{K::MethodEnter, 0, 10}, {K::LoopEnter, 3, 4}}},
+      {"improperly nested",
+       {{K::MethodEnter, 0, 0}, {K::LoopEnter, 3, 2}, {K::MethodExit, 0, 5}}},
+      {"improperly nested",
+       {{K::MethodEnter, 0, 0}, {K::MethodExit, 1, 5}}},
+      {"improperly nested", {{K::LoopExit, 3, 0}}},
+  };
+  for (const Case &C : Cases) {
+    TempFile F("misnested.bin");
+    writeRawCallLoop(F.path(), C.Events);
+    CallLoopTrace Loaded;
+    IOStatus S = readCallLoopTraceBinary(F.path(), Loaded);
+    EXPECT_FALSE(S) << C.Why;
+    EXPECT_NE(S.Message.find(C.Why), std::string::npos) << S.Message;
+  }
+
+  TempFile Open("open.bin");
+  writeRawCallLoop(Open.path(), {{K::MethodEnter, 0, 0},
+                                 {K::LoopEnter, 3, 2},
+                                 {K::LoopExit, 3, 9},
+                                 {K::LoopEnter, 4, 9}});
+  CallLoopTrace Loaded;
+  IOStatus S = readCallLoopTraceBinary(Open.path(), Loaded);
+  ASSERT_TRUE(S) << S.Message;
+  EXPECT_EQ(Loaded.size(), 4u);
+
+  // The text reader applies the same checks.
+  TempFile Text("misnested.txt");
+  std::FILE *Out = std::fopen(Text.path().c_str(), "w");
+  ASSERT_NE(Out, nullptr);
+  std::fputs("ME 0 0\nLE 3 2\nMX 0 5\n", Out);
+  std::fclose(Out);
+  S = readCallLoopTraceText(Text.path(), Loaded);
+  EXPECT_FALSE(S);
+  EXPECT_NE(S.Message.find("improperly nested event at line 3"),
+            std::string::npos)
+      << S.Message;
+}
+
 //===----------------------------------------------------------------------===//
 // ArgParser odds and ends
 //===----------------------------------------------------------------------===//

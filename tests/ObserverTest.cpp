@@ -273,6 +273,111 @@ TEST(TraceExportTest, RejectsMalformedJSON) {
   EXPECT_FALSE(readRunTraceCSV(G.path(), Restored));
 }
 
+namespace {
+
+/// Writes \p Lines, newline-terminated, to \p Path.
+void writeLines(const std::string &Path,
+                const std::vector<std::string> &Lines) {
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  ASSERT_NE(Out, nullptr);
+  for (const std::string &L : Lines) {
+    std::fputs(L.c_str(), Out);
+    std::fputc('\n', Out);
+  }
+  std::fclose(Out);
+}
+
+/// \p Text split at newlines.
+std::vector<std::string> splitLines(const std::string &Text) {
+  std::vector<std::string> Lines;
+  size_t Start = 0;
+  for (size_t NL; (NL = Text.find('\n', Start)) != std::string::npos;
+       Start = NL + 1)
+    Lines.push_back(Text.substr(Start, NL - Start));
+  return Lines;
+}
+
+/// Index of the last line of \p Lines containing \p Needle.
+size_t lastLineWith(const std::vector<std::string> &Lines,
+                    const std::string &Needle) {
+  for (size_t I = Lines.size(); I != 0; --I)
+    if (Lines[I - 1].find(Needle) != std::string::npos)
+      return I - 1;
+  ADD_FAILURE() << "no line contains " << Needle;
+  return 0;
+}
+
+} // namespace
+
+// A timeline cut off inside a phase (a truncated file) must be rejected
+// on load, as must unpaired phase edges: RunTrace::phases() cannot pair
+// them. Each file is a well-formed export with lines removed.
+TEST(TraceExportTest, RejectsUnpairedPhaseEdges) {
+  BranchTrace Trace = makePhasedTrace(3, 2000, 600, 19);
+  RunTrace Observed =
+      observeRun(Trace, makeConfig(128, TWPolicyKind::Adaptive));
+  ASSERT_GE(Observed.phases().size(), 2u);
+
+  std::vector<std::string> CSV = splitLines(renderRunTraceCSV(Observed));
+  size_t LastBegin = lastLineWith(CSV, "phase_begin,");
+  size_t FirstEnd = 0;
+  while (CSV[FirstEnd].rfind("phase_end,", 0) != 0)
+    ++FirstEnd;
+  struct Case {
+    const char *Why;
+    std::vector<std::string> Lines;
+  };
+  std::vector<Case> Cases;
+  // Truncated right after the last phase opened.
+  Cases.push_back({"timeline ends with an open phase",
+                   {CSV.begin(), CSV.begin() + LastBegin + 1}});
+  // The first phase_end dropped: the next begin nests inside.
+  Cases.push_back({"phase begin inside an open phase", CSV});
+  Cases.back().Lines.erase(Cases.back().Lines.begin() + FirstEnd);
+  // The last phase_begin dropped: its end pairs with nothing.
+  Cases.push_back({"phase end without a begin", CSV});
+  Cases.back().Lines.erase(Cases.back().Lines.begin() + LastBegin);
+
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Why);
+    TempFile F("unpaired.csv");
+    writeLines(F.path(), C.Lines);
+    RunTrace Restored;
+    IOStatus S = readRunTraceCSV(F.path(), Restored);
+    EXPECT_FALSE(S);
+    EXPECT_NE(S.Message.find(C.Why), std::string::npos) << S.Message;
+    EXPECT_TRUE(Restored.events().empty());
+  }
+
+  // The JSON loader: keep the events up to the last phase_begin, then
+  // close the array and the document.
+  TempFile Whole("whole.json");
+  ASSERT_TRUE(writeRunTraceJSON(Observed, Whole.path()));
+  std::string Text;
+  {
+    std::FILE *In = std::fopen(Whole.path().c_str(), "r");
+    ASSERT_NE(In, nullptr);
+    for (int Ch; (Ch = std::fgetc(In)) != EOF;)
+      Text += static_cast<char>(Ch);
+    std::fclose(In);
+  }
+  std::vector<std::string> JSON = splitLines(Text);
+  size_t JSONBegin = lastLineWith(JSON, "\"phase_begin\"");
+  std::vector<std::string> Cut(JSON.begin(), JSON.begin() + JSONBegin + 1);
+  ASSERT_EQ(Cut.back().back(), ',');
+  Cut.back().pop_back();
+  Cut.push_back("  ]");
+  Cut.push_back("}");
+  TempFile F("open.json");
+  writeLines(F.path(), Cut);
+  RunTrace Restored;
+  IOStatus S = readRunTraceJSON(F.path(), Restored);
+  EXPECT_FALSE(S);
+  EXPECT_NE(S.Message.find("timeline ends with an open phase"),
+            std::string::npos)
+      << S.Message;
+}
+
 //===----------------------------------------------------------------------===//
 // (c) Observation does not perturb detection
 //===----------------------------------------------------------------------===//

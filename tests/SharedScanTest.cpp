@@ -429,3 +429,148 @@ TEST(SharedScanTest, SetBatchKernelsChangesNothing) {
                         Enabled ? "batch kernels on" : "batch kernels off");
     }
 }
+
+namespace {
+
+/// Runs \p Configs through the shared scan and requires each output to
+/// equal the per-config fast detector's and the reference detector's.
+void expectSharedMatchesFastAndReference(
+    const std::vector<DetectorConfig> &Configs, const BranchTrace &Trace,
+    const std::string &Leg) {
+  std::vector<DetectorRun> Shared = runShared(Configs, Trace);
+  for (size_t I = 0; I != Configs.size(); ++I) {
+    std::unique_ptr<OnlineDetector> Fast =
+        makeFastDetector(Configs[I], Trace.numSites());
+    expectRunsEqual(runDetector(*Fast, Trace), Shared[I], Configs[I],
+                    (Leg + " vs fast").c_str());
+    std::unique_ptr<PhaseDetector> Reference =
+        makeDetector(Configs[I], Trace.numSites());
+    expectRunsEqual(runDetector(*Reference, Trace), Shared[I], Configs[I],
+                    (Leg + " vs reference").c_str());
+  }
+}
+
+/// One config of every analyzer kind per (policy, skip) over a CW x TW
+/// window.
+std::vector<DetectorConfig> mixedConfigs(uint32_t CW, uint32_t TW,
+                                         const std::vector<uint32_t> &Skips) {
+  std::vector<DetectorConfig> Configs;
+  for (TWPolicyKind Policy : {TWPolicyKind::Constant, TWPolicyKind::Adaptive})
+    for (uint32_t Skip : Skips)
+      for (auto [Analyzer, Param] :
+           {std::pair{AnalyzerKind::Threshold, 0.5},
+            std::pair{AnalyzerKind::Average, 0.05},
+            std::pair{AnalyzerKind::Hysteresis, 0.6}}) {
+        DetectorConfig C;
+        C.Window.CWSize = CW;
+        C.Window.TWSize = TW;
+        C.Window.SkipFactor = Skip;
+        C.Window.TWPolicy = Policy;
+        C.Model = ModelKind::WeightedSet;
+        C.TheAnalyzer = Analyzer;
+        C.AnalyzerParam = Param;
+        Configs.push_back(C);
+      }
+  return Configs;
+}
+
+/// A block of \p Len elements drawn from sites [First, First + Vocab).
+void appendBlock(BranchTrace &Trace, Xoshiro256 &Rng, unsigned First,
+                 unsigned Vocab, unsigned Len) {
+  for (unsigned I = 0; I != Len; ++I)
+    Trace.appendIndex(static_cast<SiteIndex>(First + Rng.nextBelow(Vocab)));
+}
+
+} // namespace
+
+// Windows that fill exactly at the trace end, one element before it, and
+// never: every cursor starts parked, and with CW + TW past the trace end
+// no cursor ever unparks, so the scan stops before consuming anything.
+// Skip 7 does not divide the trace length, so the fill at the trace end
+// lands inside the trailing partial batch.
+TEST(SharedScanTest, WindowsFillingAtTheTraceEndMatchFastAndReference) {
+  const BenchmarkData &B = testBenchmark();
+  const BranchTrace &Trace = B.Trace;
+  uint64_t Len = Trace.size();
+  ASSERT_NE(Len % 7, 0u);
+  for (uint64_t Fill : {Len - 1, Len, Len + 1}) {
+    uint32_t CW = static_cast<uint32_t>(Fill / 3);
+    uint32_t TW = static_cast<uint32_t>(Fill - CW);
+    expectSharedMatchesFastAndReference(
+        mixedConfigs(CW, TW, {1, 7, static_cast<uint32_t>(Len + 5)}), Trace,
+        "CW+TW=" + std::to_string(Fill));
+  }
+}
+
+// A phase that ends when the trace switches to a disjoint vocabulary
+// leaves its cursors parked with a resync position near the trace end.
+// Over a run of trace lengths, that resync lands inside the trailing
+// partial batch for some of them, so unparking at the short batch is
+// exercised; the test checks that it happened at least once for the
+// skip-7 threshold config.
+TEST(SharedScanTest, ResyncInsideTheTrailingPartialBatch) {
+  const uint32_t CW = 100, TW = 100, Skip = 7;
+  std::vector<DetectorConfig> Configs = mixedConfigs(CW, TW, {1, Skip, 13});
+  for (DetectorConfig &C : Configs)
+    C.Model = ModelKind::UnweightedSet;
+  const DetectorConfig &Probe = Configs[3];
+  ASSERT_EQ(Probe.Window.SkipFactor, Skip);
+  ASSERT_EQ(Probe.Window.TWPolicy, TWPolicyKind::Constant);
+  ASSERT_EQ(Probe.TheAnalyzer, AnalyzerKind::Threshold);
+
+  size_t ResyncsInTail = 0;
+  for (unsigned Tail = 250; Tail != 330; ++Tail) {
+    BranchTrace Trace;
+    for (unsigned S = 0; S != 16; ++S)
+      Trace.internSite(ProfileElement(0, S, true));
+    Xoshiro256 Rng(7);
+    appendBlock(Trace, Rng, 0, 8, 1500);
+    appendBlock(Trace, Rng, 8, 8, Tail);
+    uint64_t Len = Trace.size();
+    expectSharedMatchesFastAndReference(Configs, Trace,
+                                        "length " + std::to_string(Len));
+
+    // Where the probe's first-block phase ended, and where it resynced.
+    std::unique_ptr<PhaseDetector> Reference =
+        makeDetector(Probe, Trace.numSites());
+    DetectorRun Run = runDetector(*Reference, Trace);
+    ASSERT_FALSE(Run.DetectedPhases.empty());
+    uint64_t End = Run.DetectedPhases.front().End;
+    ASSERT_LT(End, Len);
+    uint64_t EndEval = std::min<uint64_t>(End + Skip, Len);
+    uint64_t ResyncAt = EndEval + (CW - Skip) + TW;
+    uint64_t LastLattice = Len - Len % Skip;
+    if (LastLattice < ResyncAt && ResyncAt <= Len)
+      ++ResyncsInTail;
+  }
+  EXPECT_GT(ResyncsInTail, 0u);
+}
+
+// Slide and Move adaptive cursors with several analyzers and skips in one
+// group: cursors entering phases at different positions anchor to the
+// same TW start and join one shard, Move and Slide entries with the same
+// start but different CW lengths must not, and Slide shards merge into
+// their Move twins once their CW refills. A TW twice the CW lets a Slide
+// anchor move the whole CW across.
+TEST(SharedScanTest, SlideAndMoveCursorsShareShardsByWindowContent) {
+  const BenchmarkData &B = testBenchmark();
+  for (auto [CW, TW] : {std::pair{50u, 100u}, std::pair{100u, 100u}}) {
+    SweepSpec Spec;
+    Spec.CWSizes = {CW};
+    Spec.TWFactors = {TW / CW};
+    Spec.SkipFactors = {1, 3, 10, 50};
+    Spec.TWPolicies = {TWPolicyKind::Adaptive};
+    Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet};
+    Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5},
+                      {AnalyzerKind::Threshold, 0.7},
+                      {AnalyzerKind::Average, 0.05},
+                      {AnalyzerKind::Hysteresis, 0.6}};
+    Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
+    Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
+    std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
+    ASSERT_EQ(planSharedScan(Configs).Groups.size(), 2u);
+    expectSharedMatchesFastAndReference(
+        Configs, B.Trace, "CW " + std::to_string(CW) + " TW " +
+                              std::to_string(TW));
+  }
+}
